@@ -9,9 +9,13 @@ that wrote it.
 
 This module replaces pickle for compile artifacts with an explicit codec:
 
-* the payload is one line of magic (``repro-artifact-v1``) followed by a
+* the payload is one line of magic (``repro-artifact-v2``) followed by a
   single canonical JSON document, so ``python -m json.tool`` (skip the
   first line) inspects any cached compile;
+* the dynamic trace, the bulk of every artifact, is stored as its columns:
+  each is ``[typecode, base64 of little-endian bytes]`` with the narrowest
+  ``array`` typecode that holds the column, so decoding is ``b64decode``
+  plus ``array.frombytes`` and re-encoding reproduces the bytes exactly;
 * decoding **executes no stored code** — it walks the JSON and rebuilds the
   object graph through a fixed table of IR classes, so an artifact cache
   does not have to be a trusted directory (no HMAC envelope needed);
@@ -21,15 +25,15 @@ This module replaces pickle for compile artifacts with an explicit codec:
 The encoding strategy mirrors how the IR itself names things:
 
 * every instruction of every defined function gets a **global index**
-  (module function order → block order → instruction order); operands,
-  trace events, profile counts, partitions, queues and HLS schedules all
-  refer to instructions by that index, which replaces pickle's object
-  identity;
+  (module function order → block order → instruction order, the trace's
+  static-instruction table); operands, trace rows, profile counts,
+  partitions, queues and HLS schedules all refer to instructions by that
+  index, which replaces pickle's object identity;
 * ``id()``-keyed maps (``FunctionPartitioning.assignment``,
-  ``Trace.instruction_counts``, ``BlockSchedule.start_cycle``,
-  ``Profile._counts``) are never stored keyed — they are re-derived or
-  re-keyed against the decoded instructions, exactly like the classes'
-  own ``__setstate__`` hooks do for pickle;
+  ``BlockSchedule.start_cycle``, ``Profile._counts``) are never stored
+  keyed — they are re-derived or re-keyed against the decoded
+  instructions, exactly like the classes' own ``__setstate__`` hooks do
+  for pickle;
 * purely derived analysis state (the PDG, its SCC condensation and the
   weight-model cache inside :class:`DSWPResult`) is **recomputed** on
   decode: it is a deterministic function of the decoded module and
@@ -45,10 +49,14 @@ initialisation), pass two appends operands through the normal
 
 from __future__ import annotations
 
+import base64
 import json
-from typing import Any, Dict, List, Optional, Tuple
+import sys
+from array import array
+from typing import Any, Dict, List, Tuple
 
 from repro.errors import ReproError
+from repro.interp.trace import static_instructions
 from repro.ir.basicblock import BasicBlock
 from repro.ir.function import Function
 from repro.ir.instructions import (
@@ -84,7 +92,7 @@ from repro.ir.types import (
 )
 from repro.ir.values import Argument, Constant, GlobalVariable, UndefValue, Value
 
-ARTIFACT_MAGIC = b"repro-artifact-v1\n"
+ARTIFACT_MAGIC = b"repro-artifact-v2\n"
 
 
 class ArtifactCodecError(ReproError):
@@ -132,21 +140,7 @@ def _dec_type(data: Any) -> Type:
 
 def _instruction_index(module: Module) -> Dict[int, int]:
     """id(inst) -> global index, in module/block/instruction order."""
-    index: Dict[int, int] = {}
-    for fn in module.functions.values():
-        for block in fn.blocks:
-            for inst in block.instructions:
-                index[id(inst)] = len(index)
-    return index
-
-
-def _instruction_list(module: Module) -> List[Instruction]:
-    """Global index -> instruction, the inverse of :func:`_instruction_index`."""
-    out: List[Instruction] = []
-    for fn in module.functions.values():
-        for block in fn.blocks:
-            out.extend(block.instructions)
-    return out
+    return {id(inst): k for k, inst in enumerate(static_instructions(module))}
 
 
 class _ValueCodec:
@@ -393,80 +387,72 @@ def _dec_memory(data: Dict):
     return memory
 
 
-def _enc_trace(trace, index: Dict[int, int]) -> Dict:
-    """Columnar trace encoding: one list per event field.
+#: Column typecodes in the order the encoder tries them: the first whose
+#: range holds every value wins (signed before unsigned at equal size).
+_COLUMN_TYPECODES = ("b", "B", "h", "H", "i", "I", "q")
 
-    Events are stored without their ``seq`` when sequence numbers are the
-    plain 0..n-1 enumeration (they always are for interpreter-produced
-    traces); a non-contiguous trace stores them explicitly.
+
+def _narrowest_typecode(column: array) -> str:
+    lo, hi = min(column, default=0), max(column, default=0)
+    for typecode in _COLUMN_TYPECODES:
+        bits = 8 * array(typecode).itemsize
+        low = -(1 << (bits - 1)) if typecode.islower() else 0
+        if low <= lo and hi < low + (1 << bits):
+            return typecode
+    raise ArtifactCodecError(f"trace column value out of 64-bit range ({lo}..{hi})")
+
+
+def _enc_column(column: array) -> List[str]:
+    """``[typecode, base64 of the little-endian bytes]``, narrowest typecode."""
+    typecode = _narrowest_typecode(column)
+    packed = array(typecode, column)
+    if sys.byteorder == "big":
+        packed.byteswap()
+    return [typecode, base64.b64encode(packed.tobytes()).decode("ascii")]
+
+
+def _dec_column(data: Any) -> array:
+    typecode, text = data
+    if typecode not in _COLUMN_TYPECODES:
+        raise ArtifactCodecError(f"unknown trace column typecode {typecode!r}")
+    column = array(typecode)
+    column.frombytes(base64.b64decode(text))
+    if sys.byteorder == "big":
+        column.byteswap()
+    return column
+
+
+def _enc_trace(trace, instructions: List[Instruction]) -> Dict:
+    """The trace's columns, each as a typecode plus base64 bytes.
+
+    The trace's static-instruction table must be the module's global
+    instruction order, which the decoder restores from the module itself.
     """
-    functions: List[str] = []
-    fn_ids: Dict[str, int] = {}
-    inst: List[int] = []
-    fn_col: List[int] = []
-    deps: List[List[int]] = []
-    mem_dep: List[Optional[int]] = []
-    address: List[Optional[int]] = []
-    value: List[Optional[int]] = []
-    seqs: List[int] = []
-    contiguous = True
-    for i, event in enumerate(trace.events):
-        if event.seq != i:
-            contiguous = False
-        seqs.append(event.seq)
-        inst.append(index[id(event.inst)])
-        fid = fn_ids.get(event.function)
-        if fid is None:
-            fid = fn_ids[event.function] = len(functions)
-            functions.append(event.function)
-        fn_col.append(fid)
-        deps.append(list(event.deps))
-        mem_dep.append(event.mem_dep)
-        address.append(event.address)
-        value.append(event.value)
-    return {
-        "functions": functions,
-        "inst": inst,
-        "fn": fn_col,
-        "deps": deps,
-        "mem_dep": mem_dep,
-        "address": address,
-        "value": value,
-        "seq": None if contiguous else seqs,
-        "block_counts": [[f, b, c] for (f, b), c in trace.block_counts.items()],
-        "truncated": trace.truncated,
-    }
+    if trace.instructions != instructions:  # instructions compare by identity
+        raise ArtifactCodecError("trace was not recorded on this module's instructions")
+    return {name: _enc_column(getattr(trace, name)) for name in trace.COLUMNS}
 
 
 def _dec_trace(data: Dict, instructions: List[Instruction]):
-    from repro.interp.trace import Trace, TraceEvent
+    from repro.interp.trace import Trace
 
-    trace = Trace()
-    functions = data["functions"]
-    seqs = data["seq"]
-    for i in range(len(data["inst"])):
-        trace.append(
-            TraceEvent(
-                seq=i if seqs is None else seqs[i],
-                inst=instructions[data["inst"][i]],
-                function=functions[data["fn"][i]],
-                deps=tuple(data["deps"][i]),
-                mem_dep=data["mem_dep"][i],
-                address=data["address"][i],
-                value=data["value"][i],
-            )
-        )
-    trace.block_counts = {(f, b): c for f, b, c in data["block_counts"]}
-    trace.truncated = data["truncated"]
+    trace = Trace(instructions)
+    for name in Trace.COLUMNS:
+        setattr(trace, name, _dec_column(data[name]))
+    n = len(trace.inst)
+    if len(trace.dep_offsets) != n + 1 or any(
+        len(getattr(trace, name)) != n for name in ("mem_dep", "address", "value", "has_value")
+    ):
+        raise ArtifactCodecError("trace columns disagree on the number of events")
     return trace
 
 
-def _enc_execution(execution, index: Dict[int, int]) -> Dict:
+def _enc_execution(execution, instructions: List[Instruction]) -> Dict:
     return {
         "return_value": execution.return_value,
         "outputs": list(execution.outputs),
         "steps": execution.steps,
-        "trace": None if execution.trace is None else _enc_trace(execution.trace, index),
+        "trace": None if execution.trace is None else _enc_trace(execution.trace, instructions),
         "memory": _enc_memory(execution.memory),
     }
 
@@ -872,11 +858,11 @@ def _dec_system(data: Dict):
 def encode_compilation_result(result) -> bytes:
     """Encode a :class:`CompilationResult` into the magic + JSON payload."""
     index = _instruction_index(result.module)
-    instructions = _instruction_list(result.module)
+    instructions = static_instructions(result.module)
     document = {
         "name": result.name,
         "module": encode_module(result.module),
-        "execution": _enc_execution(result.execution, index),
+        "execution": _enc_execution(result.execution, instructions),
         "profile": _enc_profile(result.profile, index, instructions),
         "dswp": _enc_dswp(result.dswp, index),
         "legup": _enc_legup(result.legup, index),

@@ -9,9 +9,13 @@ caches at three levels:
    derived sweep key) for the lifetime of the harness, so the experiment
    generators in ``repro.eval.experiments`` share artefacts within a process;
 2. **on disk** — a content-addressed :class:`repro.eval.cache.ArtifactCache`
-   under ``.repro_cache/`` (pickled compile artifacts, structured-JSON sweep
-   artifacts), so repeat invocations of any table, figure or CLI command skip
-   the work entirely;
+   under ``.repro_cache/``, so repeat invocations of any table, figure or
+   CLI command skip the work entirely.  Compile tasks of a task graph store
+   their artifacts through the structured
+   :mod:`repro.eval.artifact_codec` (``.art``; pickle only for
+   configurations the codec cannot express), the single-workload
+   :meth:`EvaluationHarness.run` path still pickles, and sweep artifacts are
+   structured JSON;
 3. **single-flight** — keyed computations go through per-key advisory file
    locks, so concurrent processes missing on the same key compute it once.
 

@@ -5,11 +5,12 @@ The interpreter serves three roles in the reproduction:
 1. *Correctness oracle* — it executes the compiled IR and produces the
    program outputs, which tests compare against pure-Python reference
    implementations of each workload.
-2. *Trace generation* — it records the dynamic instruction stream together
-   with precise data/memory dependences, which the hybrid timing simulator
-   replays under the pure-SW, pure-HW and Twill configurations.
-3. *Profiling* — per-instruction and per-block execution counts feed the
-   DSWP partitioner's weight model (the thesis uses static loop-depth
+2. *Trace generation* — it records the dynamic instruction stream, column
+   by column, together with precise data/memory dependences, which the
+   hybrid timing simulator replays under the pure-SW, pure-HW and Twill
+   configurations.
+3. *Profiling* — per-instruction execution counts feed the DSWP
+   partitioner's weight model (the thesis uses static loop-depth
    estimates; dynamic counts are strictly more accurate and we support
    both).
 """

@@ -33,11 +33,16 @@ class Profile:
 
     @classmethod
     def from_trace(cls, module: Module, trace: Trace) -> "Profile":
-        """Build a profile from measured dynamic instruction counts."""
+        """Build a profile from measured dynamic instruction counts.
+
+        *trace* must have been recorded on *module*: its static-instruction
+        table is the module's instructions, so counting the trace's ``inst``
+        column counts every instruction of the module.
+        """
         profile = cls(module)
-        for fn in module.defined_functions():
-            for inst in fn.instructions():
-                profile._counts[id(inst)] = float(trace.dynamic_count(inst))
+        counts = trace.instruction_counts()
+        for inst, count in zip(trace.instructions, counts):
+            profile._counts[id(inst)] = float(count)
         return profile
 
     @classmethod

@@ -1,32 +1,66 @@
-"""Dynamic execution trace.
+"""Dynamic execution trace, stored column by column.
 
-Each executed IR instruction becomes one :class:`TraceEvent`.  Events carry
-*precise dynamic dependences*:
+Each executed IR instruction is one *row* of the trace, and a row's number
+is its sequence number.  Rows carry *precise dynamic dependences*:
 
-* ``deps`` — sequence numbers of the events that produced each operand value
-  (register dataflow);
-* ``mem_dep`` — sequence number of the store event whose value a load reads
-  (memory dataflow), resolved exactly because the interpreter knows every
-  address.
+* register dataflow — the rows that produced each operand value;
+* memory dataflow — the row of the store whose value a load reads,
+  resolved exactly because the interpreter knows every address.
 
-The hybrid timing simulator replays this trace, dispatching each event to
-the thread its static instruction was partitioned onto; the dependences are
+The hybrid timing simulator replays this trace, dispatching each row to the
+thread its static instruction was partitioned onto; the dependences are
 what create (or forbid) overlap between threads, and cross-thread
 dependences are the ones that pay queue costs.
+
+The trace is a struct of arrays, written once by the interpreter and read
+as arrays by every consumer (profile, timing replay, artifact codec):
+
+* ``instructions`` — the static-instruction table in module order
+  (function → block → instruction, see :func:`static_instructions`);
+* ``inst`` — each row's index into ``instructions``;
+* ``dep_offsets`` / ``deps`` — register dependences in CSR form: row ``i``
+  depends on ``deps[dep_offsets[i]:dep_offsets[i + 1]]``;
+* ``mem_dep`` — the store row a load reads, ``-1`` for none;
+* ``address`` — the memory address of alloca/load/store/GEP rows (``0`` on
+  every other row);
+* ``value`` / ``has_value`` — the row's value and whether it has one.
+
+No per-row object is ever stored.  :attr:`Trace.events` is a read-only view
+that builds a :class:`TraceEvent` record when indexed or iterated, for tests
+and tools; hot paths read the columns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+import collections.abc
+from array import array
+from collections import Counter
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.ir.function import Function
 from repro.ir.instructions import Instruction, Opcode
+from repro.ir.module import Module
+
+#: Opcodes whose rows carry an address (every other row stores ``0``).
+ADDRESS_OPCODES = frozenset({Opcode.ALLOCA, Opcode.LOAD, Opcode.STORE, Opcode.GEP})
 
 
-@dataclass
+def static_instructions(module: Module) -> List[Instruction]:
+    """Every instruction of *module*, in function → block → instruction order.
+
+    This global order is the trace's static-instruction table and the
+    artifact codec's instruction numbering.
+    """
+    out: List[Instruction] = []
+    for fn in module.functions.values():
+        for block in fn.blocks:
+            out.extend(block.instructions)
+    return out
+
+
+@dataclass(frozen=True)
 class TraceEvent:
-    """One dynamically executed instruction."""
+    """One trace row, materialised on demand by :attr:`Trace.events`."""
 
     seq: int
     inst: Instruction
@@ -44,74 +78,75 @@ class TraceEvent:
         return f"<TraceEvent #{self.seq} {self.opcode.value} in {self.function}>"
 
 
+class _EventView(collections.abc.Sequence):
+    """Read-only sequence of :class:`TraceEvent` records over a trace's columns."""
+
+    __slots__ = ("_trace",)
+
+    def __init__(self, trace: "Trace"):
+        self._trace = trace
+
+    def __len__(self) -> int:
+        return len(self._trace.inst)
+
+    def __getitem__(self, i: int) -> TraceEvent:
+        t = self._trace
+        n = len(t.inst)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("trace row out of range")
+        inst = t.instructions[t.inst[i]]
+        mem_dep = t.mem_dep[i]
+        return TraceEvent(
+            seq=i,
+            inst=inst,
+            function=inst.parent.parent.name,
+            deps=tuple(t.deps[t.dep_offsets[i]:t.dep_offsets[i + 1]]),
+            mem_dep=None if mem_dep < 0 else mem_dep,
+            address=t.address[i] if inst.opcode in ADDRESS_OPCODES else None,
+            value=t.value[i] if t.has_value[i] else None,
+        )
+
+
 class Trace:
-    """An ordered list of trace events plus summary statistics."""
+    """A dynamic trace: a static-instruction table plus per-row columns."""
 
-    def __init__(self) -> None:
-        self.events: List[TraceEvent] = []
-        self.instruction_counts: Dict[int, int] = {}   # id(static inst) -> dynamic count
-        self.block_counts: Dict[Tuple[str, str], int] = {}  # (function, block name) -> count
-        self.truncated = False
+    #: The per-row columns, each an ``array`` (what the artifact codec stores).
+    COLUMNS = ("inst", "dep_offsets", "deps", "mem_dep", "address", "value", "has_value")
 
-    # -- construction (called by the interpreter) ------------------------------------
-
-    def append(self, event: TraceEvent) -> None:
-        self.events.append(event)
-        key = id(event.inst)
-        self.instruction_counts[key] = self.instruction_counts.get(key, 0) + 1
-
-    def count_block(self, function: str, block_name: str) -> None:
-        key = (function, block_name)
-        self.block_counts[key] = self.block_counts.get(key, 0) + 1
-
-    # -- pickling ---------------------------------------------------------------------
-    #
-    # instruction_counts is keyed by id(inst), and object ids do not survive
-    # a pickle round trip (a cached artifact's instructions unpickle at new
-    # addresses, so every lookup would silently miss).  The counts are pure
-    # derived data, so drop them on pickle and rebuild them from the events
-    # — whose ``inst`` references unpickle consistently with the module —
-    # exactly as append() built them.
+    def __init__(self, instructions: Sequence[Instruction] = ()) -> None:
+        self.instructions: List[Instruction] = list(instructions)
+        self.inst = array("i")
+        self.dep_offsets = array("i", [0])
+        self.deps = array("i")
+        self.mem_dep = array("i")
+        self.address = array("q")
+        self.value = array("q")
+        self.has_value = array("b")
 
     def __getstate__(self) -> Dict:
+        # The replay index (see repro.sim.timing) is process-local derived
+        # state; it is rebuilt on first replay after unpickling.
         state = self.__dict__.copy()
-        state["instruction_counts"] = None
-        # Process-local replay precomputation (see repro.sim.timing); rebuilt
-        # lazily on first replay after unpickling.
         state.pop("_replay_index", None)
         return state
 
-    def __setstate__(self, state: Dict) -> None:
-        self.__dict__.update(state)
-        counts: Dict[int, int] = {}
-        for event in self.events:
-            key = id(event.inst)
-            counts[key] = counts.get(key, 0) + 1
-        self.instruction_counts = counts
-
     # -- queries ------------------------------------------------------------------------
 
+    @property
+    def events(self) -> _EventView:
+        return _EventView(self)
+
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self.inst)
 
     def __iter__(self) -> Iterator[TraceEvent]:
         return iter(self.events)
 
-    def dynamic_count(self, inst: Instruction) -> int:
-        return self.instruction_counts.get(id(inst), 0)
-
-    def opcode_histogram(self) -> Dict[str, int]:
-        histogram: Dict[str, int] = {}
-        for event in self.events:
-            name = event.opcode.value
-            histogram[name] = histogram.get(name, 0) + 1
-        return histogram
-
-    def events_for_function(self, name: str) -> List[TraceEvent]:
-        return [e for e in self.events if e.function == name]
-
-    def memory_traffic(self) -> Tuple[int, int]:
-        """(dynamic loads, dynamic stores)."""
-        loads = sum(1 for e in self.events if e.opcode is Opcode.LOAD)
-        stores = sum(1 for e in self.events if e.opcode is Opcode.STORE)
-        return loads, stores
+    def instruction_counts(self) -> List[int]:
+        """Dynamic execution count of each static instruction, by table index."""
+        counts = [0] * len(self.instructions)
+        for index, count in Counter(self.inst).items():
+            counts[index] = count
+        return counts

@@ -43,6 +43,7 @@ assert it did not (both engines share that fallback).
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import Dict, List, Optional, Set, Tuple
@@ -51,7 +52,7 @@ from repro import perf
 from repro.config import HLSConfig, RuntimeConfig
 from repro.costmodel.hardware import HardwareCostModel
 from repro.costmodel.software import SoftwareCostModel
-from repro.interp.trace import Trace, TraceEvent
+from repro.interp.trace import Trace
 from repro.ir.instructions import Opcode
 from repro.runtime.bus import MessageBus
 from repro.runtime.queue import TimedQueue
@@ -71,12 +72,12 @@ class _TraceIndex:
     """Replay precomputation that depends on the *trace* alone.
 
     A report replays the same trace many times — three baseline assignments,
-    every split-sweep fraction, every explore candidate — and each replay
-    used to re-derive the same per-event tables with multiple O(events)
-    passes.  Everything here is a pure function of the event list (never of
-    the assignment or the runtime/HLS configuration), so it is computed once
-    and cached on the :class:`~repro.interp.trace.Trace` object itself
-    (``Trace.__getstate__`` drops the cache, keeping pickles clean).
+    every split-sweep fraction, every explore candidate — so everything here
+    is derived once per trace and cached on the
+    :class:`~repro.interp.trace.Trace` object itself (pickling drops it).
+    It is a pure function of the trace's columns plus small
+    per-static-instruction tables (opcode, block, terminator, print flag),
+    never of the assignment or the runtime/HLS configuration.
 
     ``cost_arrays`` memoises per-event cost vectors keyed by the *content*
     of the opcode-cost table (domain + each opcode's resolved cost), so
@@ -86,83 +87,88 @@ class _TraceIndex:
     """
 
     __slots__ = (
-        "inst_ids",
-        "opcodes",
+        "inst",
+        "mem_dep",
+        "static_opcodes",
         "reg_deps",
         "deps_seq",
         "mem_tail",
         "block_occurrence",
-        "rep_events",
         "opcode_counts",
         "prints",
         "cost_arrays",
     )
 
-    def __init__(self, events: List[TraceEvent]):
-        n = len(events)
-        self.inst_ids: List[int] = [0] * n
-        self.opcodes: List[Opcode] = [Opcode.ADD] * n
-        self.reg_deps: List[Tuple[int, ...]] = [()] * n
-        self.deps_seq: List[Tuple[int, ...]] = [()] * n
-        self.mem_tail: List[bool] = [False] * n
-        self.block_occurrence: List[int] = [0] * n
-        self.rep_events: Dict[Opcode, TraceEvent] = {}
-        self.opcode_counts: Dict[Opcode, int] = {}
+    def __init__(self, trace: Trace):
+        instructions = trace.instructions
+        inst = trace.inst
+        n = len(inst)
+        self.inst = inst
+        self.mem_dep = trace.mem_dep
+        self.static_opcodes: List[Opcode] = [i.opcode for i in instructions]
         self.cost_arrays: Dict[Tuple, List[float]] = {}
 
-        counts = self.opcode_counts
-        rep = self.rep_events
-        occurrence = 0
-        prev_block_key: Optional[Tuple[str, int]] = None
-        prev_was_terminator = False
-        prints: List[Tuple[int, int]] = []
-        for i, event in enumerate(events):
-            inst = event.inst
-            opcode = inst.opcode
-            self.inst_ids[i] = id(inst)
-            self.opcodes[i] = opcode
-            counts[opcode] = counts.get(opcode, 0) + 1
-            if opcode not in rep:
-                rep[opcode] = event
-            deps = event.deps
-            self.reg_deps[i] = deps
-            mem_dep = event.mem_dep
-            if mem_dep is None:
-                self.deps_seq[i] = deps
-            else:
-                # Legacy order exactly: register deps first, mem_dep last; the
-                # tail flag marks a memory dep taking the coherency path (one
-                # that is not also a register dep).
+        self.opcode_counts: Dict[Opcode, int] = {}
+        for s, count in Counter(inst).items():
+            opcode = self.static_opcodes[s]
+            self.opcode_counts[opcode] = self.opcode_counts.get(opcode, 0) + count
+
+        flat = trace.deps.tolist()
+        offsets = trace.dep_offsets.tolist()
+        self.reg_deps: List[Tuple[int, ...]] = [
+            tuple(flat[a:b]) for a, b in zip(offsets, offsets[1:])
+        ]
+        # Register deps first, mem_dep last (the order replay probes them);
+        # the tail flag marks a memory dep taking the coherency path (one
+        # that is not also a register dep).
+        self.deps_seq: List[Tuple[int, ...]] = list(self.reg_deps)
+        self.mem_tail: List[bool] = [False] * n
+        for i, mem_dep in enumerate(trace.mem_dep):
+            if mem_dep >= 0:
+                deps = self.reg_deps[i]
                 self.deps_seq[i] = deps + (mem_dep,)
                 self.mem_tail[i] = mem_dep not in deps
-            # Dynamic basic-block occurrence ids: every block occurrence —
-            # including re-entry of the same block on the next loop iteration —
-            # is a serialisation point for a hardware FSM.
-            block_key = (event.function, id(inst.parent))
-            if prev_block_key is None or block_key != prev_block_key or prev_was_terminator:
+
+        # Dynamic basic-block occurrence ids: every block occurrence —
+        # including re-entry of the same block on the next loop iteration —
+        # is a serialisation point for a hardware FSM.
+        block_ids: Dict[int, int] = {}
+        static_block = [block_ids.setdefault(id(i.parent), len(block_ids)) for i in instructions]
+        static_terminator = [i.is_terminator() for i in instructions]
+        static_print = [
+            i.opcode is Opcode.CALL
+            and getattr(i, "callee", None) is not None
+            and i.callee.name == "print_int"
+            for i in instructions
+        ]
+        has_value = trace.has_value
+        value = trace.value
+        occurrence = 0
+        prev_block = -1
+        prev_terminator = False
+        block_occurrence = [0] * n
+        prints: List[int] = []
+        for i, s in enumerate(inst):
+            block = static_block[s]
+            if block != prev_block or prev_terminator:
                 occurrence += 1
-            self.block_occurrence[i] = occurrence
-            prev_block_key = block_key
-            prev_was_terminator = inst.is_terminator()
-            if (
-                opcode is Opcode.CALL
-                and event.value is not None
-                and getattr(inst, "callee", None) is not None
-                and inst.callee.name == "print_int"
-            ):
-                prints.append((event.seq, event.value))
+            block_occurrence[i] = occurrence
+            prev_block = block
+            prev_terminator = static_terminator[s]
+            if static_print[s] and has_value[i]:
+                prints.append(value[i])
+        self.block_occurrence = block_occurrence
         # The observable output stream commits in program (trace) order: the
         # runtime serialises side effects, so finish times stay timing
         # metadata only and never reorder what the program prints.
-        prints.sort(key=lambda p: p[0])
-        self.prints: Tuple[int, ...] = tuple(p[1] for p in prints)
+        self.prints: Tuple[int, ...] = tuple(prints)
 
 
 def _trace_index(trace: Trace) -> _TraceIndex:
     """The trace's cached :class:`_TraceIndex`, built on first replay."""
     index = getattr(trace, "_replay_index", None)
     if index is None:
-        index = _TraceIndex(trace.events)
+        index = _TraceIndex(trace)
         trace._replay_index = index
     return index
 
@@ -241,8 +247,8 @@ class TimingSimulator:
         assignment: ThreadAssignment,
         engine: Optional[str] = None,
     ) -> TimingResult:
-        events = trace.events
-        if not events:
+        n = len(trace)
+        if n == 0:
             return TimingResult(0.0, {}, 0, 0, 0.0, 0.0, 0, 0, 0)
         if engine is None:
             engine = os.environ.get(REPLAY_ENGINE_ENV, "ready")
@@ -253,7 +259,6 @@ class TimingSimulator:
         timelines: Dict[int, ThreadTimeline] = {
             t.thread_id: ThreadTimeline(spec=t) for t in assignment.threads
         }
-        n = len(events)
 
         if engine != "poll" and len(timelines) == 1:
             # Single-thread assignment (the pure-SW / pure-HW baselines):
@@ -276,13 +281,14 @@ class TimingSimulator:
                 events=n,
                 replay_outputs=index.prints,
             )
-        thread_of: List[int] = [0] * n
-        per_thread: Dict[int, List[int]] = {t.thread_id: [] for t in assignment.threads}
+        # Map each static instruction to its thread once, then each event
+        # through its static index.
         amap_get = assignment._map.get
         default_thread = assignment.default_thread
-        for i, iid in enumerate(index.inst_ids):
-            tid = amap_get(iid, default_thread)
-            thread_of[i] = tid
+        static_thread = [amap_get(id(inst), default_thread) for inst in trace.instructions]
+        thread_of: List[int] = [static_thread[s] for s in index.inst]
+        per_thread: Dict[int, List[int]] = {t.thread_id: [] for t in assignment.threads}
+        for i, tid in enumerate(thread_of):
             per_thread[tid].append(i)
 
         # Which threads consume each dynamic event's value across threads?
@@ -304,7 +310,6 @@ class TimingSimulator:
         block_occurrence = index.block_occurrence
 
         finish: List[Optional[float]] = [None] * n
-        store_domain: Dict[int, ExecutionDomain] = {}
         # (dep event index, consumer thread) -> time the dequeued value is in hand
         received: Dict[Tuple[int, int], float] = {}
 
@@ -314,8 +319,10 @@ class TimingSimulator:
         queue_depth = self.runtime.queue_depth
         queue_latency = self.runtime.queue_latency
 
-        def queue_for(producer_event: TraceEvent, consumer_thread: int) -> TimedQueue:
-            key = (id(producer_event.inst), consumer_thread)
+        inst = index.inst
+
+        def queue_for(producer: int, consumer_thread: int) -> TimedQueue:
+            key = (inst[producer], consumer_thread)
             q = queues.get(key)
             if q is None:
                 q = TimedQueue(
@@ -327,13 +334,12 @@ class TimingSimulator:
             return q
 
         context = _ReplayContext(
-            events=events,
+            index=index,
             thread_of=thread_of,
             finish=finish,
             timelines=timelines,
             queue_for=queue_for,
             module_bus=module_bus,
-            store_domain=store_domain,
             received=received,
             dyn_consumers=dyn_consumers,
             block_occurrence=block_occurrence,
@@ -372,10 +378,7 @@ class TimingSimulator:
 
     def _cost_table(self, index: _TraceIndex, domain: ExecutionDomain) -> Dict[Opcode, float]:
         """Opcode → cost for the trace's opcodes (one representative each)."""
-        return {
-            opcode: self._execution_cost(event, domain)
-            for opcode, event in index.rep_events.items()
-        }
+        return {opcode: self._execution_cost(opcode, domain) for opcode in index.opcode_counts}
 
     def _cost_array(
         self, index: _TraceIndex, domain: ExecutionDomain, table: Dict[Opcode, float]
@@ -384,7 +387,8 @@ class TimingSimulator:
         key = (domain, tuple(sorted((op.value, cost) for op, cost in table.items())))
         array = index.cost_arrays.get(key)
         if array is None:
-            array = [table[op] for op in index.opcodes]
+            static_cost = [table.get(op, 0.0) for op in index.static_opcodes]
+            array = [static_cost[s] for s in index.inst]
             index.cost_arrays[key] = array
         return array
 
@@ -409,16 +413,16 @@ class TimingSimulator:
             )
         else:
             total = 0.0
-            for opcode in index.opcodes:
-                total += table[opcode]
+            for cost in self._cost_array(index, ExecutionDomain.SOFTWARE, table):
+                total += cost
         timeline.next_free = total
         timeline.busy_cycles = total
-        timeline.events_executed = len(index.opcodes)
+        timeline.events_executed = len(index.inst)
         timeline.finish_time = total
 
     def _replay_single_hardware(self, index: _TraceIndex, timeline: ThreadTimeline) -> None:
         """Pure-hardware replay: one FSM thread, no queues, no bus."""
-        n = len(index.opcodes)
+        n = len(index.inst)
         deps_seq = index.deps_seq
         block_occurrence = index.block_occurrence
         cost_arr = self._cost_array(
@@ -506,7 +510,7 @@ class TimingSimulator:
         loop_pipe = self.hls.loop_pipelining
         slot = 1.0 / max(1, self.hls.issue_width)
 
-        inst_ids = index.inst_ids
+        inst_ids = index.inst
         deps_seq = index.deps_seq
         mem_tail = index.mem_tail
         cost_arrays = {
@@ -721,7 +725,7 @@ class TimingSimulator:
     def _replay_poll(self, ctx: "_ReplayContext", per_thread: Dict[int, List[int]]) -> int:
         """Original round-robin poll loop (differential-testing reference)."""
         pointer: Dict[int, int] = {t: 0 for t in per_thread}
-        remaining = len(ctx.events)
+        remaining = len(ctx.thread_of)
         forced_events = 0
         thread_of = ctx.thread_of
         while remaining > 0:
@@ -749,16 +753,17 @@ class TimingSimulator:
     # -- one event --------------------------------------------------------------------------
 
     def _try_execute(self, ctx: "_ReplayContext", index: int, force: bool) -> bool:
-        events = ctx.events
-        event = events[index]
+        trace_index = ctx.index
+        reg_deps = trace_index.reg_deps[index]
+        mem_dep = trace_index.mem_dep[index]
         thread_id = ctx.thread_of[index]
         timeline = ctx.timelines[thread_id]
         domain = timeline.spec.domain
 
         # 1. Operand readiness (register dataflow + memory dataflow).
-        deps = list(event.deps)
-        if event.mem_dep is not None:
-            deps.append(event.mem_dep)
+        deps = list(reg_deps)
+        if mem_dep >= 0:
+            deps.append(mem_dep)
         for dep in deps:
             if ctx.finish[dep] is None and not force:
                 return False
@@ -767,7 +772,7 @@ class TimingSimulator:
         consumer_threads = ctx.dyn_consumers[index]
         if consumer_threads and not force:
             for consumer_thread in consumer_threads:
-                if not ctx.queue_for(event, consumer_thread).can_enqueue():
+                if not ctx.queue_for(index, consumer_thread).can_enqueue():
                     return False
 
         ready = 0.0
@@ -779,7 +784,7 @@ class TimingSimulator:
             if dep_thread == thread_id:
                 ready = max(ready, dep_finish)
                 continue
-            if dep == event.mem_dep and dep not in event.deps:
+            if dep == mem_dep and dep not in reg_deps:
                 # Cross-thread memory flow: shared memory + coherency delay.
                 delay = self.runtime.coherency_delay
                 if ctx.timelines[dep_thread].spec.domain != domain:
@@ -790,7 +795,7 @@ class TimingSimulator:
             key = (dep, thread_id)
             got = ctx.received.get(key)
             if got is None:
-                q = ctx.queue_for(events[dep], thread_id)
+                q = ctx.queue_for(dep, thread_id)
                 q.dequeue_cost = (
                     self.runtime.processor_op_cycles
                     if domain is ExecutionDomain.SOFTWARE
@@ -813,7 +818,8 @@ class TimingSimulator:
                 timeline.current_block = occurrence
                 timeline.block_max_done = 0.0
         issue = max(ready, timeline.next_free)
-        cost = self._execution_cost(event, domain)
+        opcode = trace_index.static_opcodes[trace_index.inst[index]]
+        cost = self._execution_cost(opcode, domain)
         done = issue + cost
         if domain is ExecutionDomain.SOFTWARE:
             timeline.next_free = done
@@ -833,7 +839,7 @@ class TimingSimulator:
 
         # 4. Produce: enqueue the value for every consuming thread.
         for consumer_thread in consumer_threads:
-            q = ctx.queue_for(event, consumer_thread)
+            q = ctx.queue_for(index, consumer_thread)
             q.enqueue_cost = (
                 self.runtime.processor_op_cycles
                 if domain is ExecutionDomain.SOFTWARE
@@ -847,16 +853,12 @@ class TimingSimulator:
         if domain is ExecutionDomain.HARDWARE and not self.hls.loop_pipelining:
             timeline.block_max_done = max(timeline.block_max_done, done)
 
-        if event.opcode is Opcode.STORE:
-            ctx.store_domain[index] = domain
-
         ctx.finish[index] = done
         timeline.events_executed += 1
         timeline.finish_time = max(timeline.finish_time, timeline.next_free, done)
         return True
 
-    def _execution_cost(self, event: TraceEvent, domain: ExecutionDomain) -> float:
-        opcode = event.opcode
+    def _execution_cost(self, opcode: Opcode, domain: ExecutionDomain) -> float:
         if domain is ExecutionDomain.SOFTWARE:
             return float(self.software.opcode_cost(opcode))
         cost = float(self.hardware.opcode_cost(opcode))
@@ -871,17 +873,16 @@ class TimingSimulator:
 class _ReplayContext:
     """Mutable state shared by the per-event executor."""
 
-    events: List[TraceEvent]
+    index: _TraceIndex
     thread_of: List[int]
     finish: List[Optional[float]]
     timelines: Dict[int, ThreadTimeline]
     queue_for: object
     module_bus: MessageBus
-    store_domain: Dict[int, ExecutionDomain]
     received: Dict[Tuple[int, int], float]
     dyn_consumers: List[Tuple[int, ...]]
     block_occurrence: List[int] = field(default_factory=list)
-    # The shared (producer instruction id, consumer thread) → TimedQueue map
+    # The shared (producer static index, consumer thread) → TimedQueue map
     # behind ``queue_for``; the ready engine indexes it directly.
     queues: Dict[Tuple[int, int], TimedQueue] = field(default_factory=dict)
 

@@ -24,6 +24,7 @@ from repro.eval.artifact_codec import (
     encode_compilation_result,
 )
 from repro.eval.cache import ArtifactCache
+from repro.interp.trace import Trace
 from repro.ir.printer import print_module
 from repro.sim import ThreadAssignment, TimingSimulator
 from repro.workloads import get_workload
@@ -54,6 +55,13 @@ def test_artifact_is_magic_plus_canonical_json(compiled):
     assert data == ARTIFACT_MAGIC + canonical.encode("utf-8")
 
 
+def test_reencoding_a_decoded_artifact_is_byte_identical(compiled, roundtripped):
+    _, result = compiled
+    data = encode_compilation_result(result)
+    assert encode_compilation_result(roundtripped) == data
+    assert encode_compilation_result(decode_compilation_result(data)) == data
+
+
 def test_module_text_roundtrips(compiled, roundtripped):
     _, result = compiled
     assert print_module(roundtripped.module) == print_module(result.module)
@@ -73,7 +81,9 @@ def test_trace_and_profile_roundtrip(compiled, roundtripped):
     _, result = compiled
     original, decoded = result.execution.trace, roundtripped.execution.trace
     assert len(decoded) == len(original)
-    assert decoded.truncated == original.truncated
+    # Every column survives value-for-value (the codec may narrow typecodes).
+    for name in Trace.COLUMNS:
+        assert getattr(decoded, name).tolist() == getattr(original, name).tolist(), name
     # Event streams must align position-by-position on everything the
     # timing simulator reads: function, dependency edges, memory effects.
     for a, b in zip(original.events, decoded.events):

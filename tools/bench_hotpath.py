@@ -17,9 +17,19 @@ produce identical output before reporting a single number:
   re-partition stage) vs re-running DSWP for every candidate, over the
   report's 3x3 split-target x queue-depth space.
 
+A fourth leg, **trace**, has no in-process legacy to race: it times the
+columnar execution trace's four phases separately over the 8 CHStone
+kernels — record (the interpreter run that writes the trace), artifact
+encode, artifact decode, and replay-index build — and checks that
+re-encoding every decoded artifact reproduces its bytes exactly.
+``--baseline`` copies the trace leg of a ``BENCH_hotpath.json`` written by
+this tool on another checkout (say, the parent commit, on the same
+machine) into this run's record as its ``before``.
+
 Results land in ``BENCH_hotpath.json`` (override with ``--out``).  Exits
-non-zero if any leg's outputs diverge or any leg's new implementation is
-slower than its legacy fallback beyond ``--tolerance``.
+non-zero if any leg's outputs diverge, any decoded artifact re-encodes to
+different bytes, or any leg's new implementation is slower than its legacy
+fallback beyond ``--tolerance``.
 """
 
 from __future__ import annotations
@@ -194,6 +204,51 @@ def bench_explore() -> dict:
     }
 
 
+def bench_trace(repeats: int) -> dict:
+    """Leg (d): record, encode, decode and index the 8 kernels' traces.
+
+    Each phase is timed per kernel as the best of *repeats* runs, then
+    summed over the kernels.  Only public entry points (and the simulator's
+    ``_trace_index`` cache accessor) are called, so the leg runs unchanged
+    on checkouts with a different trace representation.
+    """
+    from repro.core.compiler import TwillCompiler
+    from repro.eval import artifact_codec
+    from repro.sim import timing
+
+    phases = {"record": 0.0, "encode": 0.0, "decode": 0.0, "index": 0.0}
+    events = 0
+    artifact_bytes = 0
+    reencode_identical = True
+    workloads = all_workloads()
+    for workload in workloads:
+        compiler = TwillCompiler()
+        result = compiler.compile_and_simulate(workload.source, name=workload.name)
+        best = dict.fromkeys(phases, float("inf"))
+        for _ in range(repeats):
+            seconds, execution = _timed(lambda: compiler.execute(result.module))
+            best["record"] = min(best["record"], seconds)
+            seconds, data = _timed(lambda: artifact_codec.encode_compilation_result(result))
+            best["encode"] = min(best["encode"], seconds)
+            seconds, decoded = _timed(lambda: artifact_codec.decode_compilation_result(data))
+            best["decode"] = min(best["decode"], seconds)
+            seconds, _ = _timed(lambda: timing._trace_index(decoded.execution.trace))
+            best["index"] = min(best["index"], seconds)
+        reencode_identical &= artifact_codec.encode_compilation_result(decoded) == data
+        events += len(execution.trace.events)
+        artifact_bytes += len(data)
+        for phase, seconds in best.items():
+            phases[phase] += seconds
+    return {
+        "seconds": {phase: round(seconds, 4) for phase, seconds in phases.items()},
+        "reencode_identical": reencode_identical,
+        "kernels": len(workloads),
+        "events": events,
+        "artifact_bytes": artifact_bytes,
+        "repeats": repeats,
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="BENCH_hotpath.json", help="timing output file")
@@ -207,15 +262,26 @@ def main(argv: list[str] | None = None) -> int:
         help="fail a leg if its speedup falls below this (default: 0.9, i.e. "
         "the new path may not be >10%% slower than the legacy one)",
     )
+    parser.add_argument(
+        "--baseline",
+        help="BENCH_hotpath.json written by this tool on another checkout; its "
+        "trace leg is recorded as this run's trace 'before'",
+    )
     args = parser.parse_args(argv)
 
     record = {
         "frontend": bench_frontend(args.repeats),
         "replay": bench_replay(args.repeats),
         "explore": bench_explore(),
+        "trace": bench_trace(args.repeats),
         "python": sys.version.split()[0],
         "cpu_count": os.cpu_count(),
     }
+    if args.baseline:
+        with open(args.baseline, encoding="utf-8") as fh:
+            before = json.load(fh)["trace"]
+        before.pop("before", None)
+        record["trace"]["before"] = before
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -231,6 +297,10 @@ def main(argv: list[str] | None = None) -> int:
             f"{leg}_{side}_seconds": record[leg][f"{side}_seconds"]
             for leg in ("frontend", "replay", "explore")
             for side in ("after", "before")
+        }
+        | {
+            f"trace_{phase}_seconds": seconds
+            for phase, seconds in record["trace"]["seconds"].items()
         },
         attrs={"repeats": args.repeats},
     )
@@ -243,6 +313,8 @@ def main(argv: list[str] | None = None) -> int:
             failures.append(
                 f"{leg}: speedup {record[leg]['speedup']}x below tolerance {args.tolerance}x"
             )
+    if not record["trace"]["reencode_identical"]:
+        failures.append("trace: a decoded artifact re-encodes to different bytes")
     if failures:
         for failure in failures:
             print(f"FAIL: {failure}", file=sys.stderr)
