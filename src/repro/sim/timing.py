@@ -2,10 +2,10 @@
 
 The simulator replays the dynamic instruction trace under a thread
 assignment.  Each thread consumes its own slice of the trace in order;
-cross-thread value flow goes through :class:`~repro.runtime.queue.TimedQueue`
-instances (one per produced static value and consuming thread — exactly the
-DSWP queue granularity), which is where queue latency, queue-depth
-back-pressure and the processor stream-interface overhead enter the model.
+cross-thread value flow goes through DSWP queues (one per produced static
+value and consuming thread — exactly the DSWP queue granularity), which is
+where queue latency, queue-depth back-pressure and the processor
+stream-interface overhead enter the model.
 
 Per-domain execution:
 
@@ -21,20 +21,28 @@ Per-domain execution:
 Engines
 -------
 
-``ready`` (default) — a readiness-driven scheduler.  Threads are visited
-through a time-ordered heap keyed by (pass, thread position): a thread that
-blocks (an operand's producing event not yet timed, or a full queue it must
-enqueue into) parks itself on a wake list for exactly that event or queue,
-and re-enters the heap the moment the dependency resolves.  Idle threads are
-never re-polled.  Replays whose events all land on a single thread (the
-pure-software and pure-hardware baselines — two of the three replays every
-evaluation runs) take straight-line fast paths with no queue/bus machinery
-at all.  The visit order is provably identical to the legacy poll loop's
-(failed executability probes are side-effect-free), so the resulting
+``ready`` (default) — a readiness-driven scheduler over flat arrays.  Threads
+are visited through a time-ordered heap keyed by (pass, thread position): a
+thread that blocks (an operand's producing event not yet timed, or a full
+queue it must enqueue into) parks itself on a wake list for exactly that
+event or queue, and re-enters the heap the moment the dependency resolves.
+Idle threads are never re-polled.  Queues are dense integer ids over flat
+per-queue completion lists and the module-bus slot booking is inlined; both
+follow :class:`~repro.runtime.queue.TimedQueue` and
+:class:`~repro.runtime.bus.MessageBus` operation for operation.  What a
+replay needs from the assignment (each event's thread, the per-thread event
+lists, which events cross threads) is a :class:`_ReplayPlan` cached on the
+trace, and a replay's outcome is memoised on the trace by the content it
+reads, so a sweep point that repeats an earlier replay costs a dict lookup.
+Replays whose events all land on a single thread (the pure-software and
+pure-hardware baselines) take straight-line fast paths with no queue/bus
+machinery at all.  The visit order is provably identical to the legacy poll
+loop's (failed executability probes are side-effect-free), so the resulting
 :class:`TimingResult` is byte-identical.
 
 ``poll`` (``REPRO_REPLAY=poll``) — the original cooperative round-robin
-that rescans every thread each pass.  Kept as the differential-testing
+that rescans every thread each pass, over ``TimedQueue``/``MessageBus``
+objects and its own per-replay setup.  Kept as the differential-testing
 reference; a defensive fallback force-processes the oldest blocked event
 should a cyclic wait appear, and counts how often it fired so tests can
 assert it did not (both engines share that fallback).
@@ -42,10 +50,14 @@ assert it did not (both engines share that fallback).
 
 from __future__ import annotations
 
+import copy
 import os
+from array import array
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappop, heappush
+from itertools import chain, compress, repeat
+from operator import ge, ne, sub
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro import perf
@@ -67,6 +79,23 @@ _QUEUED = 0      # in the heap, will be visited
 _BLOCKED = 1     # parked on a wake list (dep finish or queue dequeue)
 _DONE = 2        # all events executed
 
+# Per-row flags.  The trace index sets _NDEPS, _HAS_MEM and _OCCURRENCE once
+# per trace; a replay plan copies them and adds the rest for its assignment.
+_NDEPS = 3          # register-dep count, saturating at 3 ("three or more")
+_HAS_MEM = 4        # the row has a memory dep
+_NEW_BLOCK = 8      # first row of a block occurrence on its thread
+_XDEPS = 16         # reads a value another thread produced
+_FEEDS = 32         # enqueues into at least one queue
+_READ_ACROSS = 64   # another thread reads this row, so threads may wait on it
+_OCCURRENCE = 128   # first row of a block occurrence in the trace
+_SLOW = _XDEPS | _FEEDS | _READ_ACROSS
+_NDEPS_OF = bytes(min(count, _NDEPS) for count in range(256))
+
+# Bounds on the per-trace caches.  A plan is a few bytes per event, a memo
+# entry a few hundred bytes; a report needs one or two plans per trace.
+_MAX_PLANS = 4
+_MAX_REPLAYS = 256
+
 
 class _TraceIndex:
     """Replay precomputation that depends on the *trace* alone.
@@ -75,59 +104,75 @@ class _TraceIndex:
     every split-sweep fraction, every explore candidate — so everything here
     is derived once per trace and cached on the
     :class:`~repro.interp.trace.Trace` object itself (pickling drops it).
-    It is a pure function of the trace's columns plus small
-    per-static-instruction tables (opcode, block, terminator, print flag),
-    never of the assignment or the runtime/HLS configuration.
+    Dependences are read straight from the trace's CSR columns; the index
+    adds typed columns beside them — per-row flags (:data:`_NDEPS`,
+    :data:`_HAS_MEM`) and block occurrences — plus small per-static tables.
 
     ``cost_arrays`` memoises per-event cost vectors keyed by the *content*
     of the opcode-cost table (domain + each opcode's resolved cost), so
     sweeps that vary queue geometry — which never changes execution costs —
     reuse one vector, while a sweep that does change a cost (say memory
-    read cycles) gets its own.
+    read cycles) gets its own.  ``plans`` caches :class:`_ReplayPlan` by
+    assignment and ``replays`` memoises replay outcomes (see
+    :meth:`TimingSimulator.simulate`); both are bounded.
     """
 
     __slots__ = (
         "inst",
+        "dep_offsets",
+        "deps",
         "mem_dep",
+        "flags",
         "static_opcodes",
-        "reg_deps",
-        "deps_seq",
-        "mem_tail",
+        "slot_owner",
+        "mem_rows",
+        "mem_targets",
         "block_occurrence",
         "opcode_counts",
         "prints",
         "cost_arrays",
+        "plans",
+        "replays",
+        "plan_hits",
+        "replay_hits",
     )
 
     def __init__(self, trace: Trace):
         instructions = trace.instructions
         inst = trace.inst
         n = len(inst)
+        offsets = trace.dep_offsets
+        deps = trace.deps
+        mem_dep = trace.mem_dep
         self.inst = inst
-        self.mem_dep = trace.mem_dep
+        self.dep_offsets = offsets
+        self.deps = deps
+        self.mem_dep = mem_dep
         self.static_opcodes: List[Opcode] = [i.opcode for i in instructions]
         self.cost_arrays: Dict[Tuple, List[float]] = {}
+        self.plans: Dict[Tuple, _ReplayPlan] = {}
+        self.replays: Dict[Tuple, TimingResult] = {}
+        self.plan_hits = 0
+        self.replay_hits = 0
 
         self.opcode_counts: Dict[Opcode, int] = {}
         for s, count in Counter(inst).items():
             opcode = self.static_opcodes[s]
             self.opcode_counts[opcode] = self.opcode_counts.get(opcode, 0) + count
 
-        flat = trace.deps.tolist()
-        offsets = trace.dep_offsets.tolist()
-        self.reg_deps: List[Tuple[int, ...]] = [
-            tuple(flat[a:b]) for a, b in zip(offsets, offsets[1:])
-        ]
-        # Register deps first, mem_dep last (the order replay probes them);
-        # the tail flag marks a memory dep taking the coherency path (one
-        # that is not also a register dep).
-        self.deps_seq: List[Tuple[int, ...]] = list(self.reg_deps)
-        self.mem_tail: List[bool] = [False] * n
-        for i, mem_dep in enumerate(trace.mem_dep):
-            if mem_dep >= 0:
-                deps = self.reg_deps[i]
-                self.deps_seq[i] = deps + (mem_dep,)
-                self.mem_tail[i] = mem_dep not in deps
+        dep_counts = list(map(sub, offsets[1:], offsets))
+        try:
+            counts = bytes(dep_counts)
+        except ValueError:   # a row with 256 or more register deps
+            counts = bytes(min(c, 255) for c in dep_counts)
+        self.flags = bytearray(counts.translate(_NDEPS_OF))
+        # The row owning each register-dep slot, and the rows with a memory
+        # dep beside the store each reads: what a plan compares threads of.
+        self.slot_owner = array("i", chain.from_iterable(map(repeat, range(n), dep_counts)))
+        self.mem_rows = array("i", compress(range(n), map(ge, mem_dep, repeat(0))))
+        self.mem_targets = array("i", map(mem_dep.__getitem__, self.mem_rows))
+        for i in self.mem_rows:
+            self.flags[i] |= _HAS_MEM
 
         # Dynamic basic-block occurrence ids: every block occurrence —
         # including re-entry of the same block on the next loop iteration —
@@ -143,6 +188,7 @@ class _TraceIndex:
         ]
         has_value = trace.has_value
         value = trace.value
+        flags = self.flags
         occurrence = 0
         prev_block = -1
         prev_terminator = False
@@ -152,12 +198,13 @@ class _TraceIndex:
             block = static_block[s]
             if block != prev_block or prev_terminator:
                 occurrence += 1
+                flags[i] |= _OCCURRENCE
             block_occurrence[i] = occurrence
             prev_block = block
             prev_terminator = static_terminator[s]
             if static_print[s] and has_value[i]:
                 prints.append(value[i])
-        self.block_occurrence = block_occurrence
+        self.block_occurrence = array("i", block_occurrence)
         # The observable output stream commits in program (trace) order: the
         # runtime serialises side effects, so finish times stay timing
         # metadata only and never reorder what the program prints.
@@ -171,6 +218,107 @@ def _trace_index(trace: Trace) -> _TraceIndex:
         index = _TraceIndex(trace)
         trace._replay_index = index
     return index
+
+
+def _bounded_put(cache: Dict, key, value, limit: int) -> None:
+    """Insert into a FIFO-bounded dict, evicting the oldest entry when full."""
+    if len(cache) >= limit:
+        del cache[next(iter(cache))]
+    cache[key] = value
+
+
+class _ReplayPlan:
+    """What a multi-thread replay needs from (trace, static-thread map).
+
+    Derived once per distinct assignment and reused by every replay of it —
+    every queue-latency/depth sweep point replays the same plan.  Threads
+    are numbered by *position*: the assignment's populated threads, in
+    assignment order.
+
+    * ``specs`` — the :class:`ThreadSpec` at each position;
+    * ``thread_of`` — each row's thread position;
+    * ``events`` — per position, the thread's rows in trace order;
+    * ``flags`` — per row, the index's flags plus :data:`_NEW_BLOCK`,
+      :data:`_XDEPS`, :data:`_FEEDS` and :data:`_READ_ACROSS`;
+    * ``queue_of`` — ``producer static index * P + consumer position`` →
+      dense queue id, one per DSWP queue;
+    * ``feed_id`` / ``feeds`` — per row, an index into ``feeds``: the queue
+      ids the row enqueues into, in consumer-thread-id order (id 0 is the
+      empty tuple).
+    """
+
+    __slots__ = ("specs", "thread_of", "events", "flags", "queue_of", "feed_id", "feeds")
+
+    def __init__(self, index: _TraceIndex, static_thread: List[int], threads: List[ThreadSpec]):
+        inst = index.inst
+        executed = set(inst)
+        populated = {static_thread[s] for s in executed}
+        self.specs = [t for t in threads if t.thread_id in populated]
+        P = len(self.specs)
+        pos_of = {t.thread_id: p for p, t in enumerate(self.specs)}
+        static_pos = [0] * len(static_thread)
+        for s in executed:
+            # Raises KeyError for an executed instruction on an undeclared thread.
+            static_pos[s] = pos_of[static_thread[s]]
+        positions = [static_pos[s] for s in inst]
+        self.thread_of = array("B" if P < 256 else "i", positions)
+        buckets: List[List[int]] = [[] for _ in range(P)]
+        appends = [b.append for b in buckets]
+        for i, p in enumerate(positions):
+            appends[p](i)
+        self.events = [array("i", b) for b in buckets]
+        self.flags = flags = bytearray(index.flags)
+        occurrence = index.block_occurrence
+        for events in self.events:
+            prev = -1
+            for i in events:
+                occ = occurrence[i]
+                if occ != prev:
+                    flags[i] |= _NEW_BLOCK
+                    prev = occ
+
+        # Rows that touch another thread, found column-wise: compare the
+        # thread of every register-dep slot's owner and source, and of
+        # every memory dep's reader and store.
+        deps = index.deps
+        owner = index.slot_owner
+        source_pos = [positions[d] for d in deps]
+        owner_pos = [positions[i] for i in owner]
+        consumers: Dict[int, int] = {}   # producer row -> bit set of consumer positions
+        consumers_get = consumers.get
+        for k in compress(range(len(deps)), map(ne, source_pos, owner_pos)):
+            dep = deps[k]
+            flags[owner[k]] |= _XDEPS
+            flags[dep] |= _READ_ACROSS
+            consumers[dep] = consumers_get(dep, 0) | 1 << owner_pos[k]
+        readers = index.mem_rows
+        stores = index.mem_targets
+        reader_pos = [positions[i] for i in readers]
+        store_pos = [positions[i] for i in stores]
+        for k in compress(range(len(readers)), map(ne, reader_pos, store_pos)):
+            flags[readers[k]] |= _XDEPS
+            flags[stores[k]] |= _READ_ACROSS
+
+        # One dense id per DSWP queue, and each producer's queues.
+        tid_of = [t.thread_id for t in self.specs]
+        self.queue_of: Dict[int, int] = {}
+        self.feeds: List[Tuple[int, ...]] = [()]
+        feed_of: Dict[Tuple[int, int], int] = {}   # (static, consumer bits) -> feed id
+        fid_of: Dict[int, int] = {}
+        for producer, bits in consumers.items():
+            flags[producer] |= _FEEDS
+            key = (inst[producer], bits)
+            fid = feed_of.get(key)
+            if fid is None:
+                base = inst[producer] * P
+                ordered = sorted((c for c in range(P) if bits >> c & 1), key=tid_of.__getitem__)
+                qids = tuple(self.queue_of.setdefault(base + c, len(self.queue_of)) for c in ordered)
+                feed_of[key] = fid = len(self.feeds)
+                self.feeds.append(qids)
+            fid_of[producer] = fid
+        self.feed_id = array("B" if len(self.feeds) < 256 else "i", [0]) * len(inst)
+        for producer, fid in fid_of.items():
+            self.feed_id[producer] = fid
 
 
 @dataclass
@@ -256,31 +404,571 @@ class TimingSimulator:
             raise ValueError(f"unknown replay engine {engine!r} (expected 'ready' or 'poll')")
 
         index = _trace_index(trace)
+        if engine == "poll":
+            return self._simulate_poll(trace, index, assignment)
+
+        threads = assignment.threads
+        if len(threads) == 1:
+            # Every event lands on the one thread whatever the map says.
+            plan_key: Tuple = (threads[0],)
+        else:
+            amap_get = assignment._map.get
+            default_thread = assignment.default_thread
+            static_thread = [amap_get(id(inst), default_thread) for inst in trace.instructions]
+            plan_key = (tuple(static_thread), tuple(threads))
+        # The memo key is everything a replay reads besides the trace: the
+        # assignment, both cost tables and the runtime/HLS fields below.
+        # repr() keeps 2 and 2.0 apart, as the result bytes do.
+        runtime = self.runtime
+        sw_key = self._cost_key(index, ExecutionDomain.SOFTWARE)
+        hw_key = self._cost_key(index, ExecutionDomain.HARDWARE)
+        memo_key = (
+            plan_key,
+            sw_key,
+            hw_key,
+            repr((
+                runtime.queue_depth, runtime.queue_latency, runtime.bus_latency,
+                runtime.coherency_delay, runtime.memory_read_cycles,
+                runtime.processor_op_cycles, self.hls.issue_width, self.hls.loop_pipelining,
+            )),
+        )
+        memo = index.replays.get(memo_key)
+        if memo is not None:
+            index.replay_hits += 1
+            return copy.deepcopy(memo)   # fresh timelines: callers may mutate them
+
+        timelines: Dict[int, ThreadTimeline] = {t.thread_id: ThreadTimeline(spec=t) for t in threads}
+        if len(threads) == 1:
+            # Single-thread assignment (the pure-SW / pure-HW baselines): no
+            # plan, no queues, no bus, and float zero stalls.
+            self._replay_single(index, timelines[threads[0].thread_id], sw_key, hw_key)
+            queue_stats: Tuple = (0, 0, 0.0, 0.0, 0)
+            forced_events = 0
+        else:
+            plan = index.plans.get(plan_key)
+            if plan is None:
+                plan = _ReplayPlan(index, static_thread, threads)
+                _bounded_put(index.plans, plan_key, plan, _MAX_PLANS)
+            else:
+                index.plan_hits += 1
+            if len(plan.specs) == 1:
+                # One populated thread: stalls are sums over no queues, int 0.
+                self._replay_single(index, timelines[plan.specs[0].thread_id], sw_key, hw_key)
+                queue_stats, forced_events = (0, 0, 0, 0, 0), 0
+            else:
+                queue_stats, forced_events = self._replay_ready(
+                    index, plan, timelines, sw_key, hw_key
+                )
+        queue_count, queue_transfers, producer_stalls, consumer_stalls, bus_transfers = queue_stats
+        result = TimingResult(
+            total_cycles=max(t.finish_time for t in timelines.values()),
+            threads=timelines,
+            queue_count=queue_count,
+            queue_transfers=queue_transfers,
+            producer_stall_cycles=producer_stalls,
+            consumer_stall_cycles=consumer_stalls,
+            bus_transfers=bus_transfers,
+            forced_events=forced_events,
+            events=n,
+            replay_outputs=index.prints,
+        )
+        _bounded_put(index.replays, memo_key, copy.deepcopy(result), _MAX_REPLAYS)
+        return result
+
+    # -- shared per-event precomputation ----------------------------------------------
+
+    def _cost_key(self, index: _TraceIndex, domain: ExecutionDomain) -> Tuple:
+        """*domain*'s opcode → cost table for the trace's opcodes, as a key.
+
+        ``(domain, ((opcode value, cost), ...))`` in opcode-value order: the
+        replay memo and the per-event cost vectors are keyed by it.
+        """
+        table = {op.value: self._execution_cost(op, domain) for op in index.opcode_counts}
+        return (domain, tuple(sorted(table.items())))
+
+    def _cost_array(self, index: _TraceIndex, key: Tuple) -> List[float]:
+        """Per-event cost vector, memoized on the trace by table *content*."""
+        costs = index.cost_arrays.get(key)
+        if costs is None:
+            table = dict(key[1])
+            static_cost = [table.get(op.value, 0.0) for op in index.static_opcodes]
+            costs = [static_cost[s] for s in index.inst]
+            index.cost_arrays[key] = costs
+        return costs
+
+    # -- single-thread fast paths ------------------------------------------------------
+
+    def _replay_single(
+        self, index: _TraceIndex, timeline: ThreadTimeline, sw_key: Tuple, hw_key: Tuple
+    ) -> None:
+        if timeline.spec.domain is ExecutionDomain.SOFTWARE:
+            self._replay_single_software(index, timeline, sw_key)
+        else:
+            self._replay_single_hardware(index, timeline, hw_key)
+
+    def _replay_single_software(
+        self, index: _TraceIndex, timeline: ThreadTimeline, cost_key: Tuple
+    ) -> None:
+        """Pure-software replay: strict in-order issue on one thread.
+
+        With every event on one software thread, each operand's producing
+        event finished at or before the thread's current ``next_free`` (the
+        timeline is monotone), so ``issue == next_free`` always and the whole
+        replay degenerates to one float accumulation.  Costs are integral
+        cycle counts, so that accumulation stays exact at every step and the
+        order-free counted sum below is bit-identical to it; should a custom
+        cost model introduce fractional costs, the sequential loop preserves
+        the reference engine's exact ordering.
+        """
+        table = dict(cost_key[1])
+        if all(cost.is_integer() for cost in table.values()):
+            total = float(
+                sum(int(table[op.value]) * count for op, count in index.opcode_counts.items())
+            )
+        else:
+            total = 0.0
+            for cost in self._cost_array(index, cost_key):
+                total += cost
+        timeline.next_free = total
+        timeline.busy_cycles = total
+        timeline.events_executed = len(index.inst)
+        timeline.finish_time = total
+
+    def _replay_single_hardware(
+        self, index: _TraceIndex, timeline: ThreadTimeline, cost_key: Tuple
+    ) -> None:
+        """Pure-hardware replay: one FSM thread, no queues, no bus."""
+        n = len(index.inst)
+        deps = index.deps.tolist()
+        offsets = index.dep_offsets
+        mem_deps = index.mem_dep
+        cost_arr = self._cost_array(index, cost_key)
+        loop_pipe = self.hls.loop_pipelining
+        slot = 1.0 / max(1, self.hls.issue_width)
+        finish = [0.0] * n
+        next_free = 0.0
+        busy = 0.0
+        finish_time = 0.0
+        block_max = 0.0
+        a = 0   # the row's first register-dep slot
+        fsm = _OCCURRENCE if not loop_pipe else 0
+        for i, fl, cost in zip(range(n), index.flags, cost_arr):
+            # Every dep is an earlier row, hence timed.
+            nd = fl & _NDEPS
+            if nd == 1:
+                ready = finish[deps[a]]
+                a += 1
+            elif nd == 0:
+                ready = 0.0
+            elif nd == 2:
+                ready = finish[deps[a]]
+                f = finish[deps[a + 1]]
+                if f > ready:
+                    ready = f
+                a += 2
+            else:
+                b = offsets[i + 1]
+                ready = 0.0
+                while a < b:
+                    f = finish[deps[a]]
+                    if f > ready:
+                        ready = f
+                    a += 1
+            if fl & _HAS_MEM:
+                f = finish[mem_deps[i]]
+                if f > ready:
+                    ready = f
+            if fl & fsm:
+                if block_max > next_free:
+                    next_free = block_max
+                block_max = 0.0
+            # Ties must keep max()'s first argument so int/float types (and
+            # hence serialised bytes) match the reference engine exactly.
+            issue = ready if ready >= next_free else next_free
+            done = issue + cost
+            if cost > 1.0:
+                next_free = done
+                busy += cost
+            else:
+                next_free = issue + slot
+                busy += slot
+            if done > block_max:
+                block_max = done
+            finish[i] = done
+            if next_free > finish_time:
+                finish_time = next_free
+            if done > finish_time:
+                finish_time = done
+        timeline.next_free = next_free
+        timeline.busy_cycles = busy
+        timeline.events_executed = n
+        timeline.finish_time = finish_time
+        if not loop_pipe:
+            timeline.current_block = index.block_occurrence[-1]
+            timeline.block_max_done = block_max
+
+    # -- readiness-driven engine -------------------------------------------------------
+
+    def _replay_ready(
+        self,
+        index: _TraceIndex,
+        plan: _ReplayPlan,
+        timelines: Dict[int, ThreadTimeline],
+        sw_key: Tuple,
+        hw_key: Tuple,
+    ) -> Tuple[Tuple, int]:
+        """Wake-driven replay with the legacy poll loop's exact visit order.
+
+        A thread sits in a heap keyed by ``pass * P + position`` — the cyclic
+        round-robin coordinates of the legacy engine.  When its head event
+        blocks it registers on a wake list (the first unfinished dependency,
+        or the first full queue it must feed) and leaves the heap; resolving
+        that dependency re-queues it at the coordinate the poll loop would
+        next have retried it.  Since failed executability probes never
+        mutate simulation state, skipping them preserves byte-identical
+        results while eliminating the per-pass rescans.
+
+        Queue ``q``'s state is ``enq[q]``/``deq[q]`` (completion time of each
+        enqueue/dequeue, ``None`` until the queue is first touched) and its
+        stall sums; ``created`` records first-touch order, which is the
+        order the reference sums stalls in.  The module bus is the set of
+        booked integer cycles.  Returns ``(queue_count, queue_transfers,
+        producer_stalls, consumer_stalls, bus_transfers)`` and the number
+        of forced events.
+        """
+        runtime = self.runtime
+        delays = (runtime.coherency_delay, runtime.coherency_delay + runtime.memory_read_cycles)
+        op_cycles = runtime.processor_op_cycles
+        bus_latency = runtime.bus_latency
+        depth = runtime.queue_depth
+        queue_latency = runtime.queue_latency
+        loop_pipe = self.hls.loop_pipelining
+        slot = 1.0 / max(1, self.hls.issue_width)
+
+        inst = index.inst
+        offsets = index.dep_offsets
+        deps = index.deps
+        mem_deps = index.mem_dep
+        sw_costs = self._cost_array(index, sw_key)
+        hw_costs = self._cost_array(index, hw_key)
+
+        specs = plan.specs
+        P = len(specs)
+        events = plan.events
+        thread_of = plan.thread_of
+        flags = plan.flags
+        queue_of = plan.queue_of
+        feed_id = plan.feed_id
+        feeds = plan.feeds
+        is_sw = [spec.is_software() for spec in specs]
+        domain_of = [spec.domain for spec in specs]
+
+        # Finish time per row; every real finish is a float >= 0.
+        finish = array("d", [-1.0]) * len(inst)
+        received: Dict[int, float] = {}   # dep * P + consumer position -> value in hand
+        n_queues = len(queue_of)
+        enq: List[Optional[List]] = [None] * n_queues
+        deq: List[Optional[List]] = [None] * n_queues
+        producer_stall = [0.0] * n_queues
+        consumer_stall = [0.0] * n_queues
+        created: List[int] = []
+        bus: Set[int] = set()
+        transfers = 0
+
+        # Each thread's event stream: an iterator over its rows plus the head
+        # row it has not executed yet (-1 once the thread is done).
+        streams = [iter(e) for e in events]
+        heads = [next(it) for it in streams]
+        t_next = [0.0] * P
+        t_busy = [0.0] * P
+        t_finish = [0.0] * P
+        t_block_max = [0.0] * P
+        state = [_QUEUED] * P
+        heap = list(range(P))   # pass 0, every position: already heap-ordered
+        dep_waiters: Dict[int, List[int]] = {}
+        queue_waiters: Dict[int, List[int]] = {}
+
+        def wake(waiters: List[int], cur_pass: int, cur_pos: int) -> None:
+            for w in waiters:
+                if state[w] == _BLOCKED:
+                    heappush(heap, (cur_pass if w > cur_pos else cur_pass + 1) * P + w)
+                    state[w] = _QUEUED
+
+        forced = -1
+        forced_events = 0
+        last_pass = 0
+        while True:
+            if heap:
+                cur_pass, p = divmod(heappop(heap), P)
+                last_pass = cur_pass
+                cur_pos = p
+                rows = chain((heads[p],), streams[p])
+            else:
+                blocked = [h for h in heads if h >= 0]
+                if not blocked:
+                    break
+                # Cyclic wait: force the oldest blocked event, exactly like
+                # the poll loop's no-progress fallback, then give every
+                # still-blocked thread a fresh pass (stale wake registrations
+                # are harmless — a spurious visit is side-effect-free).  Wakes
+                # during the forced event land on that same fresh pass.  Its
+                # deps are all timed (an untimed dep would be an older head),
+                # so forcing only skips the back-pressure check.
+                forced = min(blocked)
+                forced_events += 1
+                p = thread_of[forced]
+                cur_pass, cur_pos = last_pass, P
+                rows = (forced,)
+            state[p] = _QUEUED
+            sw = is_sw[p]
+            domain = domain_of[p]
+            costs = sw_costs if sw else hw_costs
+            op_cost = op_cycles if sw else 2        # per queue transfer
+            # A hardware FSM drains its block occurrence before starting the
+            # next (unless loops are pipelined); software has no blocks.
+            new_block = 0 if sw or loop_pipe else _NEW_BLOCK
+            # Costs above this hold the thread for their full latency; on a
+            # software thread every cost (all are >= 0) does.
+            hold = -1.0 if sw else 1.0
+            # Thread state lives in locals for the visit; all mutations in a
+            # visit touch only this thread's state.
+            next_free = t_next[p]
+            busy = t_busy[p]
+            finish_time = t_finish[p]
+            block_max = t_block_max[p]
+
+            for i in rows:
+                fl = flags[i]
+                if not fl & _SLOW:
+                    # A row that touches no other thread (most rows): its
+                    # deps are earlier rows of this thread, hence timed.
+                    nd = fl & _NDEPS
+                    if nd == 1:
+                        ready = finish[deps[offsets[i]]]
+                    elif nd == 0:
+                        ready = 0.0
+                    elif nd == 2:
+                        a = offsets[i]
+                        ready = finish[deps[a]]
+                        f = finish[deps[a + 1]]
+                        if f > ready:
+                            ready = f
+                    else:
+                        ready = 0.0
+                        for k in range(offsets[i], offsets[i + 1]):
+                            f = finish[deps[k]]
+                            if f > ready:
+                                ready = f
+                    if fl & _HAS_MEM:
+                        f = finish[mem_deps[i]]
+                        if f > ready:
+                            ready = f
+                    # Issue and execute: the same steps as below, minus queues.
+                    if fl & new_block:
+                        if block_max > next_free:
+                            next_free = block_max
+                        block_max = 0.0
+                    issue = ready if ready >= next_free else next_free
+                    cost = costs[i]
+                    done = issue + cost
+                    if cost > hold:
+                        next_free = done
+                        busy += cost
+                    else:
+                        next_free = issue + slot
+                        busy += slot
+                    if done > block_max:
+                        block_max = done
+                    finish[i] = done
+                    if next_free > finish_time:
+                        finish_time = next_free
+                    if done > finish_time:
+                        finish_time = done
+                    continue
+
+                a = offsets[i]
+                b = offsets[i + 1]
+                mem_dep = mem_deps[i] if fl & _HAS_MEM else -1
+                if i != forced:
+                    # 1. Operand readiness (register + memory dataflow);
+                    # same-thread deps always precede i on this thread.
+                    if fl & _XDEPS:
+                        waiting_on = -1
+                        for k in range(a, b):
+                            if finish[deps[k]] < 0.0:
+                                waiting_on = deps[k]
+                                break
+                        else:
+                            if mem_dep >= 0 and finish[mem_dep] < 0.0:
+                                waiting_on = mem_dep
+                        if waiting_on >= 0:
+                            dep_waiters.setdefault(waiting_on, []).append(p)
+                            heads[p] = i
+                            break
+                    # 2. Back-pressure: every queue this row feeds needs a
+                    # slot (first touch creates the queue).
+                    if fl & _FEEDS:
+                        full = -1
+                        for q in feeds[feed_id[i]]:
+                            qe = enq[q]
+                            if qe is None:
+                                enq[q] = []
+                                deq[q] = []
+                                created.append(q)
+                            elif len(qe) >= depth and len(qe) - depth >= len(deq[q]):
+                                full = q
+                                break
+                        if full >= 0:
+                            queue_waiters.setdefault(full, []).append(p)
+                            heads[p] = i
+                            break
+                # 3. Operands: local, queue and coherency flows.
+                ready = 0.0
+                for k in range(a, b):
+                    dep = deps[k]
+                    if thread_of[dep] == p:
+                        f = finish[dep]
+                        if f > ready:
+                            ready = f
+                        continue
+                    key = dep * P + p
+                    got = received.get(key)
+                    if got is None:
+                        # Dequeue once per (value, thread): TimedQueue.dequeue.
+                        q = queue_of[inst[dep] * P + p]
+                        qd = deq[q]
+                        got = next_free if next_free > 0.0 else 0.0
+                        # The producer is timed, so its value is enqueued.
+                        available = enq[q][len(qd)] + queue_latency
+                        if available > got:
+                            consumer_stall[q] += available - got
+                            got = available
+                        got = got + op_cost
+                        if qd and qd[-1] > got:
+                            got = qd[-1]
+                        qd.append(got)
+                        received[key] = got
+                        busy += op_cost
+                        if got > next_free:
+                            next_free = got
+                        waiters = queue_waiters.pop(q, None)
+                        if waiters:
+                            wake(waiters, cur_pass, cur_pos)
+                    if got > ready:
+                        ready = got
+                if mem_dep >= 0:
+                    dep_pos = thread_of[mem_dep]
+                    f = finish[mem_dep]
+                    if dep_pos == p:
+                        if f > ready:
+                            ready = f
+                    elif mem_dep not in deps[a:b]:
+                        # Cross-thread memory flow: shared memory + coherency.
+                        arrival = f + delays[domain_of[dep_pos] != domain]
+                        if arrival > ready:
+                            ready = arrival
+                # 4. Issue and execute.
+                if fl & new_block:
+                    if block_max > next_free:
+                        next_free = block_max
+                    block_max = 0.0
+                # Ties keep the first operand, as max() does in the reference.
+                issue = ready if ready >= next_free else next_free
+                cost = costs[i]
+                done = issue + cost
+                if cost > hold:
+                    next_free = done
+                    busy += cost
+                else:
+                    next_free = issue + slot
+                    busy += slot
+                # 5. Produce: a bus slot, then an enqueue, per consuming
+                # thread (MessageBus.request and TimedQueue.enqueue, inlined).
+                if fl & _FEEDS:
+                    for q in feeds[feed_id[i]]:
+                        bus_slot = int(done)
+                        if not sw:
+                            while bus_slot in bus:
+                                bus_slot += 1
+                        bus.add(bus_slot)
+                        floor = bus_slot + bus_latency - bus_latency
+                        start_at = done if done >= floor else floor
+                        qe = enq[q]
+                        if qe is None:   # forced: back-pressure was skipped
+                            enq[q] = qe = []
+                            deq[q] = []
+                            created.append(q)
+                        k_enq = len(qe)
+                        if k_enq >= depth:
+                            qd = deq[q]
+                            j = k_enq - depth
+                            space_free = qd[j] if j < len(qd) else 0.0
+                            if space_free > start_at:
+                                producer_stall[q] += space_free - start_at
+                                start_at = space_free
+                        enqueue_done = start_at + op_cost
+                        if qe and qe[-1] > enqueue_done:
+                            enqueue_done = qe[-1]
+                        qe.append(enqueue_done)
+                        transfers += 1
+                        busy += op_cost
+                        if enqueue_done > next_free:
+                            next_free = enqueue_done
+                if done > block_max:
+                    block_max = done
+                finish[i] = done
+                if next_free > finish_time:
+                    finish_time = next_free
+                if done > finish_time:
+                    finish_time = done
+                if fl & _READ_ACROSS:
+                    waiters = dep_waiters.pop(i, None)
+                    if waiters:
+                        wake(waiters, cur_pass, cur_pos)
+            else:
+                heads[p] = next(streams[p], -1) if forced >= 0 else -1
+
+            t_next[p] = next_free
+            t_busy[p] = busy
+            t_finish[p] = finish_time
+            t_block_max[p] = block_max
+            state[p] = _DONE if heads[p] < 0 else _BLOCKED
+            if forced >= 0:
+                forced = -1
+                for q in range(P):
+                    if state[q] == _BLOCKED:
+                        state[q] = _QUEUED
+                        heappush(heap, (last_pass + 1) * P + q)
+
+        occurrence = index.block_occurrence
+        for p, spec in enumerate(specs):
+            timeline = timelines[spec.thread_id]
+            timeline.next_free = t_next[p]
+            timeline.busy_cycles = t_busy[p]
+            timeline.events_executed = len(events[p])
+            timeline.finish_time = t_finish[p]
+            if not is_sw[p] and not loop_pipe:
+                timeline.current_block = occurrence[events[p][-1]]
+            timeline.block_max_done = 0.0 if is_sw[p] or loop_pipe else t_block_max[p]
+        queue_stats = (
+            len(created),
+            transfers,
+            sum(producer_stall[q] for q in created),
+            sum(consumer_stall[q] for q in created),
+            transfers,
+        )
+        return queue_stats, forced_events
+
+    # -- legacy poll engine ------------------------------------------------------------
+
+    def _simulate_poll(
+        self, trace: Trace, index: _TraceIndex, assignment: ThreadAssignment
+    ) -> TimingResult:
+        """The reference replay: its own setup, object queues and bus, poll loop."""
+        n = len(trace)
         timelines: Dict[int, ThreadTimeline] = {
             t.thread_id: ThreadTimeline(spec=t) for t in assignment.threads
         }
-
-        if engine != "poll" and len(timelines) == 1:
-            # Single-thread assignment (the pure-SW / pure-HW baselines):
-            # every event lands on the one thread, so skip the per-event
-            # assignment/consumer setup entirely — no queues, no bus.
-            timeline = next(iter(timelines.values()))
-            if timeline.spec.domain is ExecutionDomain.SOFTWARE:
-                self._replay_single_software(index, timeline)
-            else:
-                self._replay_single_hardware(index, timeline)
-            return TimingResult(
-                total_cycles=timeline.finish_time,
-                threads=timelines,
-                queue_count=0,
-                queue_transfers=0,
-                producer_stall_cycles=0.0,
-                consumer_stall_cycles=0.0,
-                bus_transfers=0,
-                forced_events=0,
-                events=n,
-                replay_outputs=index.prints,
-            )
         # Map each static instruction to its thread once, then each event
         # through its static index.
         amap_get = assignment._map.get
@@ -294,9 +982,11 @@ class TimingSimulator:
         # Which threads consume each dynamic event's value across threads?
         dyn_consumers: List[Tuple[int, ...]] = [()] * n
         consumer_sets: List[Optional[Set[int]]] = [None] * n
-        for i, deps in enumerate(index.reg_deps):
+        deps = index.deps
+        offsets = index.dep_offsets
+        for i in range(n):
             my_thread = thread_of[i]
-            for dep in deps:
+            for dep in deps[offsets[i]:offsets[i + 1]]:
                 if thread_of[dep] != my_thread:
                     s = consumer_sets[dep]
                     if s is None:
@@ -307,420 +997,50 @@ class TimingSimulator:
             if s:
                 dyn_consumers[i] = tuple(sorted(s))
 
-        block_occurrence = index.block_occurrence
-
-        finish: List[Optional[float]] = [None] * n
-        # (dep event index, consumer thread) -> time the dequeued value is in hand
-        received: Dict[Tuple[int, int], float] = {}
-
         queues: Dict[Tuple[int, int], TimedQueue] = {}
-        module_bus = MessageBus("module-bus", latency=self.runtime.bus_latency)
-
         queue_depth = self.runtime.queue_depth
         queue_latency = self.runtime.queue_latency
-
         inst = index.inst
 
         def queue_for(producer: int, consumer_thread: int) -> TimedQueue:
             key = (inst[producer], consumer_thread)
             q = queues.get(key)
             if q is None:
-                q = TimedQueue(
-                    queue_id=len(queues),
-                    depth=queue_depth,
-                    latency=queue_latency,
-                )
+                q = TimedQueue(queue_id=len(queues), depth=queue_depth, latency=queue_latency)
                 queues[key] = q
             return q
 
+        module_bus = MessageBus("module-bus", latency=self.runtime.bus_latency)
         context = _ReplayContext(
             index=index,
             thread_of=thread_of,
-            finish=finish,
+            finish=[None] * n,
             timelines=timelines,
             queue_for=queue_for,
             module_bus=module_bus,
-            received=received,
+            received={},
             dyn_consumers=dyn_consumers,
-            block_occurrence=block_occurrence,
-            queues=queues,
         )
-
-        populated = [tid for tid, indices in per_thread.items() if indices]
-        if engine == "poll":
-            forced_events = self._replay_poll(context, per_thread)
-        elif len(populated) == 1:
-            forced_events = 0
-            tid = populated[0]
-            timeline = timelines[tid]
-            if timeline.spec.domain is ExecutionDomain.SOFTWARE:
-                self._replay_single_software(index, timeline)
-            else:
-                self._replay_single_hardware(index, timeline)
-        else:
-            forced_events = self._replay_ready(context, per_thread, index)
-
-        total = max((t.finish_time for t in timelines.values()), default=0.0)
+        forced_events = self._replay_poll(context, per_thread)
+        # The ready engine's single-thread fast path reports float zero
+        # stalls; match its types exactly.
+        zero = 0.0 if len(timelines) == 1 else 0
         return TimingResult(
-            total_cycles=total,
+            total_cycles=max((t.finish_time for t in timelines.values()), default=0.0),
             threads=timelines,
             queue_count=len(queues),
             queue_transfers=sum(q.total_transfers() for q in queues.values()),
-            producer_stall_cycles=sum(q.stats.producer_stall_cycles for q in queues.values()),
-            consumer_stall_cycles=sum(q.stats.consumer_stall_cycles for q in queues.values()),
+            producer_stall_cycles=sum(
+                (q.stats.producer_stall_cycles for q in queues.values()), zero
+            ),
+            consumer_stall_cycles=sum(
+                (q.stats.consumer_stall_cycles for q in queues.values()), zero
+            ),
             bus_transfers=module_bus.stats.transfers,
             forced_events=forced_events,
             events=n,
             replay_outputs=index.prints,
         )
-
-    # -- shared per-event precomputation ----------------------------------------------
-
-    def _cost_table(self, index: _TraceIndex, domain: ExecutionDomain) -> Dict[Opcode, float]:
-        """Opcode → cost for the trace's opcodes (one representative each)."""
-        return {opcode: self._execution_cost(opcode, domain) for opcode in index.opcode_counts}
-
-    def _cost_array(
-        self, index: _TraceIndex, domain: ExecutionDomain, table: Dict[Opcode, float]
-    ) -> List[float]:
-        """Per-event cost vector, memoized on the trace by table *content*."""
-        key = (domain, tuple(sorted((op.value, cost) for op, cost in table.items())))
-        array = index.cost_arrays.get(key)
-        if array is None:
-            static_cost = [table.get(op, 0.0) for op in index.static_opcodes]
-            array = [static_cost[s] for s in index.inst]
-            index.cost_arrays[key] = array
-        return array
-
-    # -- single-thread fast paths ------------------------------------------------------
-
-    def _replay_single_software(self, index: _TraceIndex, timeline: ThreadTimeline) -> None:
-        """Pure-software replay: strict in-order issue on one thread.
-
-        With every event on one software thread, each operand's producing
-        event finished at or before the thread's current ``next_free`` (the
-        timeline is monotone), so ``issue == next_free`` always and the whole
-        replay degenerates to one float accumulation.  Costs are integral
-        cycle counts, so that accumulation stays exact at every step and the
-        order-free counted sum below is bit-identical to it; should a custom
-        cost model introduce fractional costs, the sequential loop preserves
-        the reference engine's exact ordering.
-        """
-        table = self._cost_table(index, ExecutionDomain.SOFTWARE)
-        if all(cost.is_integer() for cost in table.values()):
-            total = float(
-                sum(int(table[op]) * count for op, count in index.opcode_counts.items())
-            )
-        else:
-            total = 0.0
-            for cost in self._cost_array(index, ExecutionDomain.SOFTWARE, table):
-                total += cost
-        timeline.next_free = total
-        timeline.busy_cycles = total
-        timeline.events_executed = len(index.inst)
-        timeline.finish_time = total
-
-    def _replay_single_hardware(self, index: _TraceIndex, timeline: ThreadTimeline) -> None:
-        """Pure-hardware replay: one FSM thread, no queues, no bus."""
-        n = len(index.inst)
-        deps_seq = index.deps_seq
-        block_occurrence = index.block_occurrence
-        cost_arr = self._cost_array(
-            index, ExecutionDomain.HARDWARE, self._cost_table(index, ExecutionDomain.HARDWARE)
-        )
-        loop_pipe = self.hls.loop_pipelining
-        slot = 1.0 / max(1, self.hls.issue_width)
-        finish = [0.0] * n
-        next_free = 0.0
-        busy = 0.0
-        finish_time = 0.0
-        cur_block = timeline.current_block
-        block_max = timeline.block_max_done
-        for i in range(n):
-            ready = 0.0
-            for dep in deps_seq[i]:
-                f = finish[dep]
-                if f > ready:
-                    ready = f
-            if not loop_pipe:
-                occ = block_occurrence[i]
-                if occ != cur_block:
-                    if block_max > next_free:
-                        next_free = block_max
-                    cur_block = occ
-                    block_max = 0.0
-            # Ties must keep max()'s first argument so int/float types (and
-            # hence serialised bytes) match the reference engine exactly.
-            issue = ready if ready >= next_free else next_free
-            cost = cost_arr[i]
-            done = issue + cost
-            if cost > 1.0:
-                next_free = done
-                busy += cost
-            else:
-                next_free = issue + slot
-                busy += slot
-            if not loop_pipe and done > block_max:
-                block_max = done
-            finish[i] = done
-            if next_free > finish_time:
-                finish_time = next_free
-            if done > finish_time:
-                finish_time = done
-        timeline.next_free = next_free
-        timeline.busy_cycles = busy
-        timeline.events_executed = n
-        timeline.finish_time = finish_time
-        timeline.current_block = cur_block
-        timeline.block_max_done = block_max
-
-    # -- readiness-driven engine -------------------------------------------------------
-
-    def _replay_ready(
-        self, ctx: "_ReplayContext", per_thread: Dict[int, List[int]], index: _TraceIndex
-    ) -> int:
-        """Wake-driven replay with the legacy poll loop's exact visit order.
-
-        A thread sits in a heap keyed by ``(pass, position)`` — the cyclic
-        round-robin coordinates of the legacy engine.  When its head event
-        blocks it registers on a wake list (the first unfinished dependency,
-        or the first full queue it must feed) and leaves the heap; resolving
-        that dependency re-queues it at the coordinate the poll loop would
-        next have retried it.  Since failed executability probes never
-        mutate simulation state, skipping them preserves byte-identical
-        results while eliminating the per-pass rescans.
-        """
-        thread_of = ctx.thread_of
-        finish = ctx.finish
-        timelines = ctx.timelines
-        received = ctx.received
-        dyn_consumers = ctx.dyn_consumers
-        block_occurrence = ctx.block_occurrence
-        queues = ctx.queues
-        queues_get = queues.get
-        bus_request = ctx.module_bus.request
-
-        runtime = self.runtime
-        coherency_delay = runtime.coherency_delay
-        memory_read_cycles = runtime.memory_read_cycles
-        processor_op_cycles = runtime.processor_op_cycles
-        bus_latency = runtime.bus_latency
-        queue_depth = runtime.queue_depth
-        queue_latency = runtime.queue_latency
-        loop_pipe = self.hls.loop_pipelining
-        slot = 1.0 / max(1, self.hls.issue_width)
-
-        inst_ids = index.inst
-        deps_seq = index.deps_seq
-        mem_tail = index.mem_tail
-        cost_arrays = {
-            domain: self._cost_array(index, domain, self._cost_table(index, domain))
-            for domain in (ExecutionDomain.SOFTWARE, ExecutionDomain.HARDWARE)
-        }
-        thread_domain = {tid: t.spec.domain for tid, t in timelines.items()}
-
-        order = [tid for tid, indices in per_thread.items() if indices]
-        pos_of = {tid: k for k, tid in enumerate(order)}
-        pointer: Dict[int, int] = {tid: 0 for tid in order}
-        state: Dict[int, int] = {tid: _QUEUED for tid in order}
-        heap: List[Tuple[int, int, int]] = [(0, k, tid) for k, tid in enumerate(order)]
-        # Already heap-ordered (ascending position, one pass), no heapify needed.
-        dep_waiters: Dict[int, List[int]] = {}
-        queue_waiters: Dict[Tuple[int, int], List[int]] = {}
-
-        remaining = len(inst_ids)
-        forced_events = 0
-
-        def wake(waiters: List[int], cur_pass: int, cur_pos: int) -> None:
-            for w in waiters:
-                if state.get(w) == _BLOCKED:
-                    wpos = pos_of[w]
-                    if wpos > cur_pos:
-                        heappush(heap, (cur_pass, wpos, w))
-                    else:
-                        heappush(heap, (cur_pass + 1, wpos, w))
-                    state[w] = _QUEUED
-
-        last_pass = 0
-        while remaining > 0:
-            if not heap:
-                # Cyclic wait: force the oldest blocked event, exactly like
-                # the poll loop's no-progress fallback, then give every
-                # still-blocked thread a fresh pass (stale wake registrations
-                # are harmless — a spurious visit is side-effect-free).
-                candidates = [
-                    indices[pointer[t]]
-                    for t, indices in per_thread.items()
-                    if t in pointer and pointer[t] < len(indices)
-                ]
-                event_index = min(candidates)
-                self._try_execute(ctx, event_index, force=True)
-                forced_tid = thread_of[event_index]
-                pointer[forced_tid] += 1
-                remaining -= 1
-                forced_events += 1
-                waiters = dep_waiters.pop(event_index, None)
-                resume = [
-                    tid for tid in order
-                    if pointer[tid] < len(per_thread[tid]) and state[tid] != _QUEUED
-                ]
-                for tid in resume:
-                    state[tid] = _BLOCKED
-                wake(resume, last_pass, len(order))
-                continue
-
-            cur_pass, cur_pos, tid = heappop(heap)
-            last_pass = cur_pass
-            indices = per_thread[tid]
-            ptr = pointer[tid]
-            n_thread = len(indices)
-            timeline = timelines[tid]
-            domain = timeline.spec.domain
-            is_sw = domain is ExecutionDomain.SOFTWARE
-            cost_arr = cost_arrays[domain]
-            # Timeline fields live in locals for the visit; all mutations in
-            # a visit touch only this thread's timeline.
-            next_free = timeline.next_free
-            busy = timeline.busy_cycles
-            finish_time = timeline.finish_time
-            executed = timeline.events_executed
-            cur_block = timeline.current_block
-            block_max = timeline.block_max_done
-            blocked = False
-
-            while ptr < n_thread:
-                i = indices[ptr]
-                dseq = deps_seq[i]
-                # 1. Operand readiness (register dataflow + memory dataflow).
-                waiting_on = -1
-                for dep in dseq:
-                    if finish[dep] is None:
-                        waiting_on = dep
-                        break
-                if waiting_on >= 0:
-                    dep_waiters.setdefault(waiting_on, []).append(tid)
-                    blocked = True
-                    break
-                # 2. Back-pressure: every queue this event feeds needs a slot.
-                consumer_threads = dyn_consumers[i]
-                if consumer_threads:
-                    iid = inst_ids[i]
-                    full_key = None
-                    for consumer_thread in consumer_threads:
-                        qkey = (iid, consumer_thread)
-                        q = queues_get(qkey)
-                        if q is None:
-                            q = TimedQueue(
-                                queue_id=len(queues), depth=queue_depth, latency=queue_latency
-                            )
-                            queues[qkey] = q
-                        if not q.can_enqueue():
-                            full_key = qkey
-                            break
-                    if full_key is not None:
-                        queue_waiters.setdefault(full_key, []).append(tid)
-                        blocked = True
-                        break
-                # 3. Issue and execute (arithmetic mirrors _try_execute).
-                ready = 0.0
-                if dseq:
-                    tail = len(dseq) - 1 if mem_tail[i] else -1
-                    for k, dep in enumerate(dseq):
-                        dep_finish = finish[dep]
-                        dep_thread = thread_of[dep]
-                        if dep_thread == tid:
-                            if dep_finish > ready:
-                                ready = dep_finish
-                            continue
-                        if k == tail:
-                            # Cross-thread memory flow: shared memory + coherency.
-                            delay = coherency_delay
-                            if thread_domain[dep_thread] != domain:
-                                delay += memory_read_cycles
-                            arrival = dep_finish + delay
-                            if arrival > ready:
-                                ready = arrival
-                            continue
-                        # Cross-thread register flow through a DSWP queue.
-                        key = (dep, tid)
-                        got = received.get(key)
-                        if got is None:
-                            qkey = (inst_ids[dep], tid)
-                            q = queues_get(qkey)
-                            if q is None:
-                                q = TimedQueue(
-                                    queue_id=len(queues),
-                                    depth=queue_depth,
-                                    latency=queue_latency,
-                                )
-                                queues[qkey] = q
-                            q.dequeue_cost = processor_op_cycles if is_sw else 2
-                            got = q.dequeue(next_free if next_free > 0.0 else 0.0)
-                            received[key] = got
-                            busy += q.dequeue_cost
-                            if got > next_free:
-                                next_free = got
-                            waiters = queue_waiters.pop(qkey, None)
-                            if waiters:
-                                wake(waiters, cur_pass, cur_pos)
-                        if got > ready:
-                            ready = got
-                if not is_sw and not loop_pipe:
-                    occ = block_occurrence[i]
-                    if occ != cur_block:
-                        if block_max > next_free:
-                            next_free = block_max
-                        cur_block = occ
-                        block_max = 0.0
-                issue = ready if ready >= next_free else next_free
-                cost = cost_arr[i]
-                done = issue + cost
-                if is_sw:
-                    next_free = done
-                    busy += cost
-                elif cost > 1.0:
-                    next_free = done
-                    busy += cost
-                else:
-                    next_free = issue + slot
-                    busy += slot
-                # 4. Produce: enqueue the value for every consuming thread.
-                if consumer_threads:
-                    iid = inst_ids[i]
-                    for consumer_thread in consumer_threads:
-                        q = queues[(iid, consumer_thread)]
-                        q.enqueue_cost = processor_op_cycles if is_sw else 2
-                        bus_ready = bus_request(done, processor=is_sw)
-                        floor = bus_ready - bus_latency
-                        enqueue_done = q.enqueue(done if done >= floor else floor)
-                        busy += q.enqueue_cost
-                        if enqueue_done > next_free:
-                            next_free = enqueue_done
-                if not is_sw and not loop_pipe and done > block_max:
-                    block_max = done
-                finish[i] = done
-                executed += 1
-                if next_free > finish_time:
-                    finish_time = next_free
-                if done > finish_time:
-                    finish_time = done
-                waiters = dep_waiters.pop(i, None)
-                if waiters:
-                    wake(waiters, cur_pass, cur_pos)
-                ptr += 1
-                remaining -= 1
-
-            pointer[tid] = ptr
-            timeline.next_free = next_free
-            timeline.busy_cycles = busy
-            timeline.finish_time = finish_time
-            timeline.events_executed = executed
-            timeline.current_block = cur_block
-            timeline.block_max_done = block_max
-            state[tid] = _BLOCKED if blocked else _DONE
-        return forced_events
-
-    # -- legacy poll engine ------------------------------------------------------------
 
     def _replay_poll(self, ctx: "_ReplayContext", per_thread: Dict[int, List[int]]) -> int:
         """Original round-robin poll loop (differential-testing reference)."""
@@ -754,7 +1074,8 @@ class TimingSimulator:
 
     def _try_execute(self, ctx: "_ReplayContext", index: int, force: bool) -> bool:
         trace_index = ctx.index
-        reg_deps = trace_index.reg_deps[index]
+        offsets = trace_index.dep_offsets
+        reg_deps = trace_index.deps[offsets[index]:offsets[index + 1]]
         mem_dep = trace_index.mem_dep[index]
         thread_id = ctx.thread_of[index]
         timeline = ctx.timelines[thread_id]
@@ -812,7 +1133,7 @@ class TimingSimulator:
             # FSM semantics: a new basic-block occurrence (including the next
             # iteration of a loop) cannot start before every state of the
             # previous occurrence has finished.
-            occurrence = ctx.block_occurrence[index]
+            occurrence = trace_index.block_occurrence[index]
             if occurrence != timeline.current_block:
                 timeline.next_free = max(timeline.next_free, timeline.block_max_done)
                 timeline.current_block = occurrence
@@ -871,7 +1192,7 @@ class TimingSimulator:
 
 @dataclass
 class _ReplayContext:
-    """Mutable state shared by the per-event executor."""
+    """Mutable state shared by the poll engine's per-event executor."""
 
     index: _TraceIndex
     thread_of: List[int]
@@ -881,10 +1202,6 @@ class _ReplayContext:
     module_bus: MessageBus
     received: Dict[Tuple[int, int], float]
     dyn_consumers: List[Tuple[int, ...]]
-    block_occurrence: List[int] = field(default_factory=list)
-    # The shared (producer static index, consumer thread) → TimedQueue map
-    # behind ``queue_for``; the ready engine indexes it directly.
-    queues: Dict[Tuple[int, int], TimedQueue] = field(default_factory=dict)
 
 
 def simulate_partitioned(

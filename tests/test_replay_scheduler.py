@@ -18,7 +18,10 @@ from repro.config import RuntimeConfig
 from repro.dswp import run_dswp
 from repro.frontend import compile_c
 from repro.interp import Profile, run_module
+from repro.interp.trace import Trace, static_instructions
+from repro.ir import Opcode
 from repro.sim import ThreadAssignment, TimingSimulator
+from repro.sim.assignment import ExecutionDomain, ThreadSpec
 from repro.sim.timing import REPLAY_ENGINE_ENV
 from repro.transforms import GlobalsToArguments, default_pipeline
 from repro.workloads import get_workload
@@ -38,8 +41,11 @@ def _compiled(source, name="program"):
 
 
 def _as_comparable(result):
-    """A TimingResult as plain data — deep equality over every field."""
-    return dataclasses.asdict(result)
+    """A TimingResult as text — equality over every field, type-exact.
+
+    ``repr`` keeps ``2`` and ``2.0`` apart, as the report bytes do.
+    """
+    return repr(dataclasses.astuple(result))
 
 
 def _assignments(module, dswp):
@@ -106,3 +112,71 @@ def test_env_selects_engine(pipeline, monkeypatch):
     default = sim.simulate(execution.trace, assignment)
     ready = sim.simulate(execution.trace, assignment, engine="ready")
     assert _as_comparable(default) == _as_comparable(ready)
+
+
+def _synthetic(module, rows, threads):
+    """A hand-built trace over *module*'s first plain instructions.
+
+    *rows* are ``(instruction number, register deps, thread id)``; each
+    instruction number picks a distinct non-terminator, non-call, non-phi
+    static instruction, which is placed on the given thread.
+    """
+    statics = static_instructions(module)
+    plain = [
+        i for i in statics if not i.is_terminator() and i.opcode not in (Opcode.CALL, Opcode.PHI)
+    ]
+    trace = Trace(statics)
+    assignment = ThreadAssignment(threads)
+    for number, deps, tid in rows:
+        trace.inst.append(statics.index(plain[number]))
+        trace.deps.extend(deps)
+        trace.dep_offsets.append(len(trace.deps))
+        trace.mem_dep.append(-1)
+        for column in (trace.address, trace.value, trace.has_value):
+            column.append(0)
+        assignment.assign_instruction(plain[number], tid)
+    return trace, assignment
+
+
+CPU = ThreadSpec(0, ExecutionDomain.SOFTWARE, "cpu")
+
+
+def test_engines_identical_through_a_forced_cyclic_wait(pipeline):
+    """A depth-1 queue deadlock: the force-execution fallback must fire.
+
+    Thread 1 produces two values of one static instruction into thread 2's
+    queue and then a third value; thread 2 first reads the third value,
+    then the two queued ones.  With one slot, thread 1 blocks on the full
+    queue while thread 2 blocks on the third value, so both engines force
+    thread 1's second enqueue and then finish normally.
+    """
+    trace, assignment = _synthetic(
+        pipeline[0],
+        [(0, (), 1), (0, (), 1), (1, (), 1), (2, (2,), 2), (3, (0,), 2), (3, (1,), 2)],
+        [CPU, ThreadSpec(1, ExecutionDomain.HARDWARE, "a"), ThreadSpec(2, ExecutionDomain.SOFTWARE, "b")],
+    )
+    sim = TimingSimulator(RuntimeConfig(queue_depth=1))
+    ready = sim.simulate(trace, assignment, engine="ready")
+    poll = sim.simulate(trace, assignment, engine="poll")
+    assert ready.forced_events == poll.forced_events == 1
+    assert _as_comparable(ready) == _as_comparable(poll)
+    assert ready.queue_transfers == 3
+
+
+def test_engines_identical_under_bus_contention(pipeline):
+    """Two hardware producers want the same bus cycle.
+
+    The second is pushed to the next free slot, an integer cycle past its
+    value's float completion time, so its enqueue — and its thread's final
+    ``next_free`` — are ints.  Both engines must keep that type.
+    """
+    trace, assignment = _synthetic(
+        pipeline[0],
+        [(0, (), 1), (2, (), 2), (3, (0,), 0), (5, (1,), 0)],
+        [CPU, ThreadSpec(1, ExecutionDomain.HARDWARE, "a"), ThreadSpec(2, ExecutionDomain.HARDWARE, "b")],
+    )
+    sim = TimingSimulator()
+    ready = sim.simulate(trace, assignment, engine="ready")
+    poll = sim.simulate(trace, assignment, engine="poll")
+    assert _as_comparable(ready) == _as_comparable(poll)
+    assert isinstance(ready.threads[2].next_free, int)

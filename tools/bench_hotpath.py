@@ -12,7 +12,9 @@ produce identical output before reporting a single number:
 * **replay** — readiness-driven heap scheduler (``engine="ready"``,
   ``REPRO_REPLAY`` default) vs the cooperative poll engine
   (``engine="poll"``), replaying each workload's trace under its pure-SW,
-  pure-HW and DSWP-partitioned assignments.
+  pure-HW and DSWP-partitioned assignments.  Each repeat first clears the
+  plans and replay memo cached on the traces, so no repeat is served by a
+  memo lookup; the leg reports the plan/memo hits it saw (expected: 0).
 * **explore** — incremental candidate evaluation (memoized shared
   re-partition stage) vs re-running DSWP for every candidate, over the
   report's 3x3 split-target x queue-depth space.
@@ -22,9 +24,10 @@ columnar execution trace's four phases separately over the 8 CHStone
 kernels — record (the interpreter run that writes the trace), artifact
 encode, artifact decode, and replay-index build — and checks that
 re-encoding every decoded artifact reproduces its bytes exactly.
-``--baseline`` copies the trace leg of a ``BENCH_hotpath.json`` written by
-this tool on another checkout (say, the parent commit, on the same
-machine) into this run's record as its ``before``.
+``--baseline`` copies the trace and replay legs of a ``BENCH_hotpath.json``
+written by this tool on another checkout (say, the parent commit, on the
+same machine) into this run's record, as the trace leg's ``before`` and the
+replay leg's ``baseline``.
 
 Results land in ``BENCH_hotpath.json`` (override with ``--out``).  Exits
 non-zero if any leg's outputs diverge, any decoded artifact re-encodes to
@@ -115,18 +118,35 @@ def bench_replay(repeats: int) -> dict:
             jobs.append((execution.trace, assignment))
 
     sim = TimingSimulator()
+    traces = list({id(trace): trace for trace, _ in jobs}.values())
+    hits = {"plan_hits": 0, "replay_hits": 0}
+
+    def forget_replays():
+        # Each trace's replay index caches plans and the replay memo; clear
+        # both (keeping the per-trace part, which is built once as before)
+        # so the next repeat times the engine, not a memo lookup.
+        for trace in traces:
+            index = getattr(trace, "_replay_index", None)
+            for cache, counter in (("plans", "plan_hits"), ("replays", "replay_hits")):
+                if hasattr(index, cache):
+                    getattr(index, cache).clear()
+                    hits[counter] += getattr(index, counter)
+                    setattr(index, counter, 0)
 
     def run(engine):
         results = []
         for _ in range(repeats):
+            forget_replays()
             for trace, assignment in jobs:
                 results.append(sim.simulate(trace, assignment, engine=engine))
+        forget_replays()
         return results
 
     ready_seconds, ready = _timed(lambda: run("ready"))
     poll_seconds, poll = _timed(lambda: run("poll"))
+    # repr keeps 2 and 2.0 apart, as the report bytes do.
     identical = all(
-        dataclasses.asdict(a) == dataclasses.asdict(b) for a, b in zip(ready, poll)
+        repr(dataclasses.astuple(a)) == repr(dataclasses.astuple(b)) for a, b in zip(ready, poll)
     )
     return {
         "after_seconds": round(ready_seconds, 4),
@@ -135,6 +155,7 @@ def bench_replay(repeats: int) -> dict:
         "identical": identical,
         "traces": len(jobs),
         "repeats": repeats,
+        **hits,
     }
 
 
@@ -265,7 +286,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--baseline",
         help="BENCH_hotpath.json written by this tool on another checkout; its "
-        "trace leg is recorded as this run's trace 'before'",
+        "trace leg is recorded as this run's trace 'before' and its replay "
+        "leg as this run's replay 'baseline'",
     )
     args = parser.parse_args(argv)
 
@@ -279,9 +301,12 @@ def main(argv: list[str] | None = None) -> int:
     }
     if args.baseline:
         with open(args.baseline, encoding="utf-8") as fh:
-            before = json.load(fh)["trace"]
-        before.pop("before", None)
-        record["trace"]["before"] = before
+            baseline = json.load(fh)
+        for leg in ("trace", "replay"):
+            before = baseline[leg]
+            before.pop("before", None)
+            before.pop("baseline", None)
+            record[leg]["before" if leg == "trace" else "baseline"] = before
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")
