@@ -66,13 +66,7 @@ def parse_with_diagnostics(
     errors, or ``None`` when lexing itself failed.  An empty diagnostics
     list means the file is clean.
     """
-    from repro.frontend.lexer import tokenize
-    from repro.frontend.parser import Parser
+    from repro.frontend.parser import parse_source
 
-    try:
-        tokens = tokenize(source)
-    except FrontendError as exc:
-        return None, [Diagnostic.from_error(exc, filename)]
-    parser = Parser(tokens, recover=True, filename=filename)
-    unit = parser.parse_translation_unit()
-    return unit, parser.diagnostics
+    unit, diagnostics, _ = parse_source(source, recover=True, filename=filename)
+    return unit, diagnostics

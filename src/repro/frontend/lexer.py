@@ -17,9 +17,8 @@ character-at-a-time scanners so error messages and positions are unchanged.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum, auto
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from repro.errors import LexerError
 
@@ -75,9 +74,8 @@ PUNCTUATORS = [
 ]
 
 
-@dataclass(frozen=True)
-class Token:
-    """One lexical token."""
+class Token(NamedTuple):
+    """One lexical token (a tuple: cheap to build, compared by value)."""
 
     kind: TokenKind
     text: str
@@ -300,19 +298,19 @@ class Lexer:
             elif group == "ident":
                 self._consume(text)
                 if text in defines:
-                    append(Token(int_literal, text, value=defines[text], line=line, col=col))
+                    append(Token(int_literal, text, defines[text], line, col))
                 elif text in KEYWORDS:
-                    append(Token(keyword, text, line=line, col=col))
+                    append(Token(keyword, text, None, line, col))
                 else:
-                    append(Token(ident, text, line=line, col=col))
+                    append(Token(ident, text, None, line, col))
             elif group == "punct":
                 self._consume(text)
-                append(Token(punct, text, line=line, col=col))
+                append(Token(punct, text, None, line, col))
             elif group == "num":
                 self._consume(text)
                 digits = text.rstrip(_INT_SUFFIX_CHARS)
                 value = int(digits, 16) if digits[:2] in ("0x", "0X") else int(digits)
-                append(Token(int_literal, text, value=value, line=line, col=col))
+                append(Token(int_literal, text, value, line, col))
             elif group == "char":
                 append(self._decode_char(text))
             elif group == "string":

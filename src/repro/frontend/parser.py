@@ -680,9 +680,46 @@ def evaluate_constant_expr(expr: Expr) -> Optional[int]:
     return None
 
 
+#: The last clean parse: ``((parser class, source), unit, token count)``.
+#: One entry because a program's ingest and its compile parse the same text
+#: back to back; a parse with diagnostics is never stored.
+_last_clean_parse: Optional[Tuple[Tuple[type, str], TranslationUnit, int]] = None
+
+
+def parse_source(
+    source: str, recover: bool = False, filename: str = "<string>"
+) -> Tuple[Optional[TranslationUnit], List[Diagnostic], int]:
+    """Lex and parse ``source`` once; returns ``(unit, diagnostics, tokens)``.
+
+    ``tokens`` counts the lexemes (EOF excluded).  Without ``recover`` the
+    first problem raises, as :func:`parse` promises; with it, problems land
+    in ``diagnostics`` (a lexer error leaves ``unit`` ``None``).  A clean
+    parse is remembered, so parsing the same text again with the same
+    parser implementation returns the same AST without re-lexing: callers
+    must treat the unit as read-only, which lowering does.
+    """
+    global _last_clean_parse
+    parser_class = active_parser_class()
+    key = (parser_class, source)
+    last = _last_clean_parse
+    if last is not None and last[0] == key:
+        return last[1], [], last[2]
+    with perf.stage("lex"):
+        try:
+            tokens = tokenize(source)
+        except FrontendError as exc:
+            if not recover:
+                raise
+            return None, [Diagnostic.from_error(exc, filename)], 0
+    with perf.stage("parse"):
+        parser = parser_class(tokens, recover=recover, filename=filename)
+        unit = parser.parse_translation_unit()
+    count = len(tokens) - 1  # minus EOF
+    if not parser.diagnostics:
+        _last_clean_parse = (key, unit, count)
+    return unit, parser.diagnostics, count
+
+
 def parse(source: str) -> TranslationUnit:
     """Tokenize and parse a C source string into a TranslationUnit."""
-    with perf.stage("lex"):
-        tokens = tokenize(source)
-    with perf.stage("parse"):
-        return Parser(tokens).parse_translation_unit()
+    return parse_source(source)[0]

@@ -29,9 +29,9 @@ from repro.config import CompilerConfig
 from repro.errors import FrontendError, InterpreterError, IRError
 from repro.eval import taskgraph
 from repro.eval.cache import compile_key, derived_key
-from repro.frontend.diagnostics import Diagnostic, parse_with_diagnostics
-from repro.frontend.lexer import tokenize
+from repro.frontend.diagnostics import Diagnostic
 from repro.frontend.lowering import lower_to_ir
+from repro.frontend.parser import parse_source
 from repro.interp.interpreter import Interpreter
 
 
@@ -80,12 +80,12 @@ def _compute_ingest_report(
         "steps": 0,
     }
 
-    unit, diagnostics = parse_with_diagnostics(source, filename)
+    unit, diagnostics, tokens = parse_source(source, recover=True, filename=filename)
     if diagnostics or unit is None:
         report["diagnostics"] = [d.to_dict() for d in diagnostics]
         return report
 
-    report["tokens"] = max(0, len(tokenize(source)) - 1)  # minus EOF
+    report["tokens"] = tokens
     report["functions"] = sum(1 for f in unit.functions if f.body is not None)
     report["globals"] = len(unit.globals)
 

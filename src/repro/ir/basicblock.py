@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional
 
 from repro.errors import IRError
 from repro.ir.instructions import Instruction, Phi
@@ -132,6 +132,20 @@ class BasicBlock:
             inst.parent = None
         self.instructions.clear()
         self.parent.remove_block(self)
+
+    # -- pickling ---------------------------------------------------------------
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # A block inside a function leaves its instructions to the function's
+        # state (``Function.__getstate__``), which stores every block's list
+        # side by side.  Pickling them here would recurse block → terminator →
+        # target block → ... along the whole CFG, past the recursion limit on
+        # long programs.  ``Function.remove_block`` clears ``parent``, so a
+        # block with a parent is one of that parent's ``blocks``.
+        state = self.__dict__.copy()
+        if self.parent is not None:
+            del state["instructions"]
+        return state
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<BasicBlock {self.name} ({len(self.instructions)} insts)>"

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional
 
 from repro.errors import IRError
 from repro.ir.basicblock import BasicBlock
@@ -123,6 +123,21 @@ class Function(Value):
 
     def call_sites(self) -> List[Call]:
         return [i for i in self.instructions() if isinstance(i, Call)]
+
+    # -- pickling ---------------------------------------------------------------
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # Every block's instruction list, flat beside ``blocks`` (blocks leave
+        # them out of their own state; see ``BasicBlock.__getstate__``).
+        state = self.__dict__.copy()
+        state["block_instructions"] = [block.instructions for block in self.blocks]
+        return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        block_instructions = state.pop("block_instructions")
+        self.__dict__.update(state)
+        for block, instructions in zip(self.blocks, block_instructions):
+            block.instructions = instructions
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "declare" if self.is_declaration() else "define"

@@ -9,7 +9,7 @@ signatures match.
 
 from __future__ import annotations
 
-from typing import List, Set
+from typing import Dict, List, Set
 
 from repro.errors import VerificationError
 from repro.ir.basicblock import BasicBlock
@@ -45,6 +45,11 @@ class VerifierReport:
             raise VerificationError("IR verification failed:\n  " + "\n  ".join(self.errors))
 
 
+#: Operands that belong to no function and need no ownership check.
+_MODULE_LEVEL_OPERANDS = (Constant, GlobalVariable, UndefValue, Function)
+_BRANCHES = (Branch, CondBranch, Switch)
+
+
 def _verify_block(fn: Function, block: BasicBlock, report: VerifierReport) -> None:
     ctx = f"{fn.name}/{block.name}"
     if not block.instructions:
@@ -53,15 +58,12 @@ def _verify_block(fn: Function, block: BasicBlock, report: VerifierReport) -> No
     term = block.terminator
     if term is None:
         report.fail(f"{ctx}: block does not end with a terminator")
-    for i, inst in enumerate(block.instructions):
+    last = block.instructions[-1]
+    for inst in block.instructions:
         if inst.parent is not block:
             report.fail(f"{ctx}: instruction '{print_instruction(inst)}' has wrong parent")
-        if inst.is_terminator() and inst is not block.instructions[-1]:
+        if inst.is_terminator() and inst is not last:
             report.fail(f"{ctx}: terminator '{print_instruction(inst)}' is not last")
-        if isinstance(inst, Phi) and i >= block.first_non_phi_index() and not isinstance(
-            block.instructions[i], Phi
-        ):  # pragma: no cover - defensive
-            report.fail(f"{ctx}: phi '{print_instruction(inst)}' appears after non-phi")
 
     # Phi nodes must appear before any non-phi instruction.
     seen_non_phi = False
@@ -73,13 +75,30 @@ def _verify_block(fn: Function, block: BasicBlock, report: VerifierReport) -> No
             seen_non_phi = True
 
 
-def _verify_phis(fn: Function, block: BasicBlock, report: VerifierReport) -> None:
+def _predecessor_lists(fn: Function) -> Dict[int, List[BasicBlock]]:
+    """Every block's predecessors, keyed by ``id(block)``, in one pass over
+    the terminators: each predecessor once, in ``fn.blocks`` order (what
+    :meth:`BasicBlock.predecessors` returns for a block of ``fn``)."""
+    preds: Dict[int, List[BasicBlock]] = {}
+    for block in fn.blocks:
+        seen: Set[int] = set()
+        for succ in block.successors():
+            key = id(succ)
+            if key not in seen:
+                seen.add(key)
+                preds.setdefault(key, []).append(block)
+    return preds
+
+
+def _verify_phis(
+    fn: Function, block: BasicBlock, preds: List[BasicBlock], report: VerifierReport
+) -> None:
     ctx = f"{fn.name}/{block.name}"
-    preds = block.predecessors()
     pred_set = set(id(p) for p in preds)
     for phi in block.phis():
         incoming_ids = [id(b) for b in phi.incoming_blocks]
-        if len(set(incoming_ids)) != len(incoming_ids):
+        incoming_set = set(incoming_ids)
+        if len(incoming_set) != len(incoming_ids):
             report.fail(f"{ctx}: phi '{print_instruction(phi)}' has duplicate incoming blocks")
         for b in phi.incoming_blocks:
             if id(b) not in pred_set:
@@ -87,7 +106,7 @@ def _verify_phis(fn: Function, block: BasicBlock, report: VerifierReport) -> Non
                     f"{ctx}: phi '{print_instruction(phi)}' references non-predecessor {b.name}"
                 )
         for p in preds:
-            if id(p) not in set(incoming_ids):
+            if id(p) not in incoming_set:
                 report.fail(
                     f"{ctx}: phi '{print_instruction(phi)}' missing incoming value for "
                     f"predecessor {p.name}"
@@ -96,35 +115,27 @@ def _verify_phis(fn: Function, block: BasicBlock, report: VerifierReport) -> Non
 
 def _verify_operands(fn: Function, inst: Instruction, known_blocks: Set[int], report: VerifierReport) -> None:
     ctx = f"{fn.name}"
-    for op in inst.operands:
-        if isinstance(op, (Constant, GlobalVariable, UndefValue, Function)):
-            continue
-        if isinstance(op, Argument):
-            if op.parent is not fn:
-                report.fail(
-                    f"{ctx}: '{print_instruction(inst)}' uses argument of another function"
-                )
-            continue
+    # The operand classes are disjoint, so testing the common ones first
+    # reports exactly what testing them in any other order would.
+    for op in inst._operands:
         if isinstance(op, Instruction):
             if op.parent is None or op.parent.parent is not fn:
                 report.fail(
                     f"{ctx}: '{print_instruction(inst)}' uses instruction outside this function"
                 )
-            continue
-        report.fail(f"{ctx}: '{print_instruction(inst)}' has unexpected operand {op!r}")
+        elif isinstance(op, Argument):
+            if op.parent is not fn:
+                report.fail(
+                    f"{ctx}: '{print_instruction(inst)}' uses argument of another function"
+                )
+        elif not isinstance(op, _MODULE_LEVEL_OPERANDS):
+            report.fail(f"{ctx}: '{print_instruction(inst)}' has unexpected operand {op!r}")
 
     # Branch targets must be blocks of this function.
-    if isinstance(inst, Branch):
-        targets = [inst.target]
-    elif isinstance(inst, CondBranch):
-        targets = [inst.true_target, inst.false_target]
-    elif isinstance(inst, Switch):
-        targets = inst.successors()
-    else:
-        targets = []
-    for t in targets:
-        if id(t) not in known_blocks:
-            report.fail(f"{ctx}: branch '{print_instruction(inst)}' targets foreign block {t.name}")
+    if isinstance(inst, _BRANCHES):
+        for t in inst.successors():
+            if id(t) not in known_blocks:
+                report.fail(f"{ctx}: branch '{print_instruction(inst)}' targets foreign block {t.name}")
 
 
 def _verify_calls(fn: Function, inst: Call, report: VerifierReport) -> None:
@@ -153,9 +164,15 @@ def verify_function(fn: Function, report: VerifierReport | None = None) -> Verif
     if fn.is_declaration():
         return report
     known_blocks = {id(b) for b in fn.blocks}
+    preds = _predecessor_lists(fn)
     for block in fn.blocks:
         _verify_block(fn, block, report)
-        _verify_phis(fn, block, report)
+        # A block that is listed in ``fn`` but names another parent gets its
+        # predecessors from that parent, as ``predecessors()`` defines them.
+        block_preds = (
+            preds.get(id(block), []) if block.parent is fn else block.predecessors()
+        )
+        _verify_phis(fn, block, block_preds, report)
         for inst in block.instructions:
             _verify_operands(fn, inst, known_blocks, report)
             if isinstance(inst, Call):

@@ -13,9 +13,9 @@ pipeline:
 
 from __future__ import annotations
 
-from typing import List
+from typing import Set
 
-from repro.analysis.cfg import reachable_blocks
+from repro.analysis.cfg import predecessors_map, reachable_blocks
 from repro.ir.basicblock import BasicBlock
 from repro.ir.function import Function
 from repro.ir.instructions import Branch, CondBranch, Phi
@@ -104,8 +104,14 @@ class SimplifyCFG(FunctionPass):
     def _merge_single_pred_blocks(fn: Function) -> bool:
         """Merge ``succ`` into ``pred`` when pred has one successor and succ one predecessor."""
         changed = False
+        # A merge hands succ's out-edges to its only predecessor, so every
+        # remaining block keeps the same number of distinct predecessors (a
+        # list may still name the merged block instead of the block it went
+        # into): one map built before the sweep serves the whole sweep.
+        preds = predecessors_map(fn)
+        merged: Set[int] = set()
         for block in list(fn.blocks):
-            if block not in fn.blocks:
+            if id(block) in merged:
                 continue
             term = block.terminator
             if not isinstance(term, Branch):
@@ -113,8 +119,8 @@ class SimplifyCFG(FunctionPass):
             succ = term.target
             if succ is block or succ is fn.entry_block:
                 continue
-            preds = succ.predecessors()
-            if len(preds) != 1 or preds[0] is not block:
+            # `block` branches to succ, so one distinct predecessor is `block`.
+            if len({id(p) for p in preds[succ]}) != 1:
                 continue
             # Fold single-predecessor phis, then splice instructions.
             for phi in list(succ.phis()):
@@ -130,6 +136,7 @@ class SimplifyCFG(FunctionPass):
             for next_succ in block.successors():
                 next_succ.replace_phi_uses_of_block(succ, block)
             fn.remove_block(succ)
+            merged.add(id(succ))
             changed = True
         return changed
 
@@ -139,8 +146,9 @@ class SimplifyCFG(FunctionPass):
     def _thread_empty_blocks(fn: Function) -> bool:
         """Bypass blocks that only contain an unconditional branch."""
         changed = False
+        threaded: Set[int] = set()
         for block in list(fn.blocks):
-            if block is fn.entry_block or block not in fn.blocks:
+            if block is fn.entry_block or id(block) in threaded:
                 continue
             if len(block.instructions) != 1:
                 continue
@@ -177,5 +185,6 @@ class SimplifyCFG(FunctionPass):
             term.drop_all_operands()
             block.instructions.clear()
             fn.remove_block(block)
+            threaded.add(id(block))
             changed = True
         return changed

@@ -6,6 +6,9 @@ never touch (or depend on) a developer's ``.repro_cache/``.
 """
 
 import dataclasses
+import os
+import pickle
+import sys
 
 import pytest
 
@@ -15,8 +18,15 @@ from repro.eval import cache as cache_module
 from repro.eval.cache import ArtifactCache, compile_key, derived_key
 from repro.eval.experiments import table_6_1, table_6_2
 from repro.eval.harness import EvaluationHarness
+from repro.ingest import ingest_source
+from repro.ir.printer import print_module
 from repro.sim.timing import TimingSimulator
 from repro.workloads import get_workload
+from repro.workloads.base import WorkloadRegistry
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools"))
+
+from fuzz_csubset import generate_program  # noqa: E402
 
 FAST = ["blowfish", "mips"]
 
@@ -258,3 +268,30 @@ def test_cache_load_still_checks_functional_outputs(tmp_path):
     h2 = make_harness(tmp_path)
     with pytest.raises(AssertionError, match="functional outputs"):
         h2.run("blowfish")
+
+
+# ---------------------------------------------------------------------------
+# pickled compile artifacts
+# ---------------------------------------------------------------------------
+
+
+def test_long_cfg_compile_result_pickles_under_the_default_recursion_limit(tmp_path):
+    """Fuzz program 100128 (74 lines) once took 759 nested pickle saves along
+    CFG and def-use edges and overflowed the default limit of 1000, so its
+    ``EvaluationHarness.run`` failed and recompiled on every warm pass."""
+    name = "fz100128_pickle"
+    report, _ = ingest_source(generate_program(100128), name)
+    assert report.ok
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        spec = str(tmp_path / "cache")
+        stored = EvaluationHarness(benchmarks=[], cache_dir=spec).run(name).result
+        loaded = EvaluationHarness(benchmarks=[], cache_dir=spec).run(name).result
+        again = pickle.loads(pickle.dumps(stored, protocol=pickle.HIGHEST_PROTOCOL))
+    finally:
+        sys.setrecursionlimit(limit)
+        WorkloadRegistry.unregister(name)
+    assert loaded is not stored
+    assert print_module(loaded.module) == print_module(again.module) == print_module(stored.module)
+    assert loaded.execution.outputs == stored.execution.outputs

@@ -24,20 +24,30 @@ columnar execution trace's four phases separately over the 8 CHStone
 kernels — record (the interpreter run that writes the trace), artifact
 encode, artifact decode, and replay-index build — and checks that
 re-encoding every decoded artifact reproduces its bytes exactly.
-``--baseline`` copies the trace and replay legs of a ``BENCH_hotpath.json``
-written by this tool on another checkout (say, the parent commit, on the
-same machine) into this run's record, as the trace leg's ``before`` and the
-replay leg's ``baseline``.
+A fifth leg, **compile**, times the compile front half stage by stage over
+``tests/corpus/*.c`` and the 8 kernels: lex, parse, lower, the default pass
+pipeline, and the verifier after every pass (timed apart from the passes,
+as ``PassManager`` runs it), each the best of *repeats*.  It records the
+sha256 of every printed module after the pipeline.
+
+``--baseline`` copies the trace, replay and compile legs of a
+``BENCH_hotpath.json`` written by this tool on another checkout (say, the
+parent commit, on the same machine) into this run's record, as the trace
+and compile legs' ``before`` and the replay leg's ``baseline``; the compile
+leg's module digest must then equal the baseline's.
 
 Results land in ``BENCH_hotpath.json`` (override with ``--out``).  Exits
 non-zero if any leg's outputs diverge, any decoded artifact re-encodes to
-different bytes, or any leg's new implementation is slower than its legacy
-fallback beyond ``--tolerance``.
+different bytes, the compile leg's modules differ from the baseline's, or
+any leg's new implementation is slower than its legacy fallback beyond
+``--tolerance``.
 """
 
 from __future__ import annotations
 
 import argparse
+import glob
+import hashlib
 import json
 import os
 import sys
@@ -270,6 +280,56 @@ def bench_trace(repeats: int) -> dict:
     }
 
 
+def bench_compile(repeats: int) -> dict:
+    """Leg (e): the compile front half, stage by stage.
+
+    Calls the tokenizer and the active parser class directly (not
+    :func:`repro.frontend.parse`), so every repeat lexes and parses: the leg
+    times the work, not a memo lookup.  ``lower`` includes the verification
+    that closes lowering; ``verify`` is the verifier after each pass.
+    """
+    from repro.frontend.lowering import lower_to_ir
+    from repro.frontend.parser import active_parser_class
+    from repro.ir.printer import print_module
+    from repro.ir.verifier import verify_module
+    from repro.transforms.pass_manager import default_pipeline
+
+    sources = []
+    for path in sorted(glob.glob(os.path.join(REPO_ROOT, "tests", "corpus", "*.c"))):
+        with open(path, encoding="utf-8") as fh:
+            sources.append(fh.read())
+    sources += [w.source for w in all_workloads()]
+    parser_cls = active_parser_class()
+    stages = ("lex", "parse", "lower", "passes", "verify")
+    totals = dict.fromkeys(stages, 0.0)
+    digest = hashlib.sha256()
+    for source in sources:
+        best = dict.fromkeys(stages, float("inf"))
+        for _ in range(repeats):
+            seconds = dict.fromkeys(stages, 0.0)
+            seconds["lex"], tokens = _timed(lambda: tokenize(source))
+            seconds["parse"], unit = _timed(lambda: parser_cls(tokens).parse_translation_unit())
+            seconds["lower"], module = _timed(lambda: lower_to_ir(unit, "module"))
+            for pass_obj in default_pipeline(verify_each=False).passes:
+                elapsed, _ = _timed(lambda: pass_obj.run(module))
+                seconds["passes"] += elapsed
+                elapsed, _ = _timed(lambda: verify_module(module))
+                seconds["verify"] += elapsed
+            for stage in stages:
+                best[stage] = min(best[stage], seconds[stage])
+        digest.update(print_module(module).encode("utf-8"))
+        for stage in stages:
+            totals[stage] += best[stage]
+    return {
+        "seconds": {stage: round(seconds, 4) for stage, seconds in totals.items()},
+        "total_seconds": round(sum(totals.values()), 4),
+        "module_sha256": digest.hexdigest(),
+        "identical": None,
+        "sources": len(sources),
+        "repeats": repeats,
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="BENCH_hotpath.json", help="timing output file")
@@ -286,8 +346,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--baseline",
         help="BENCH_hotpath.json written by this tool on another checkout; its "
-        "trace leg is recorded as this run's trace 'before' and its replay "
-        "leg as this run's replay 'baseline'",
+        "trace and compile legs are recorded as this run's 'before' and its "
+        "replay leg as this run's replay 'baseline'; the compile leg's module "
+        "digest must match",
     )
     args = parser.parse_args(argv)
 
@@ -296,6 +357,7 @@ def main(argv: list[str] | None = None) -> int:
         "replay": bench_replay(args.repeats),
         "explore": bench_explore(),
         "trace": bench_trace(args.repeats),
+        "compile": bench_compile(args.repeats),
         "python": sys.version.split()[0],
         "cpu_count": os.cpu_count(),
     }
@@ -307,6 +369,14 @@ def main(argv: list[str] | None = None) -> int:
             before.pop("before", None)
             before.pop("baseline", None)
             record[leg]["before" if leg == "trace" else "baseline"] = before
+        before = baseline.get("compile")
+        if before is not None:
+            record["compile"]["identical"] = (
+                before["module_sha256"] == record["compile"]["module_sha256"]
+            )
+            record["compile"]["before"] = {
+                key: before[key] for key in ("seconds", "total_seconds", "module_sha256")
+            }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -326,6 +396,10 @@ def main(argv: list[str] | None = None) -> int:
         | {
             f"trace_{phase}_seconds": seconds
             for phase, seconds in record["trace"]["seconds"].items()
+        }
+        | {
+            f"compile_{stage}_seconds": seconds
+            for stage, seconds in record["compile"]["seconds"].items()
         },
         attrs={"repeats": args.repeats},
     )
@@ -340,6 +414,8 @@ def main(argv: list[str] | None = None) -> int:
             )
     if not record["trace"]["reencode_identical"]:
         failures.append("trace: a decoded artifact re-encodes to different bytes")
+    if record["compile"]["identical"] is False:
+        failures.append("compile: printed modules differ from the baseline's")
     if failures:
         for failure in failures:
             print(f"FAIL: {failure}", file=sys.stderr)
